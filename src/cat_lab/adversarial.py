@@ -30,15 +30,12 @@ from cat_lab.risk import prediction_terms
 class AdversarialConfig:
     gamma: float = 10.0
     eta: float = 20.0
-    norm_order: float = 2.0
     steps: int = 3
     step_size: float = 2e-2
 
     def __post_init__(self):
         if self.gamma < 0 or self.eta < 0:
             raise ValueError("gamma and eta must be >= 0")
-        if self.norm_order < 1:
-            raise ValueError(f"norm order must be >= 1, got {self.norm_order}")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.step_size <= 0:
@@ -51,8 +48,7 @@ def adversarial_objective(lam, h_i, h_j, labels, predict, config: AdversarialCon
 
     ``predict`` maps blended hidden states to head outputs (class logits, or
     a (start, end) logit pair for spans).  Each coefficient is a per-sample
-    scalar, so its p-norm is |coefficient| for every order; ``norm_order``
-    only matters if coefficients are ever vectorized.
+    scalar, so its p-norm is |coefficient| for every order p.
     """
     mixed = interpolate(h_i, h_j, lam, position_mask)
     loss_vec, confidence = prediction_terms(predict(mixed), labels)

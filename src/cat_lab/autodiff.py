@@ -20,7 +20,7 @@ Scope is deliberately narrow:
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -30,7 +30,6 @@ __all__ = [
     "Tape",
     "GradientMap",
     "active_tape",
-    "apply",
     "backward",
     "finite_difference_grad",
     "add",
@@ -46,10 +45,7 @@ __all__ = [
     "layer_norm",
     "gelu",
     "tanh",
-    "exp",
-    "log",
     "absolute",
-    "power",
     "reduce_sum",
     "reduce_mean",
     "max_last",
@@ -457,26 +453,6 @@ def tanh(a) -> Tensor:
     return _record("tanh", (a,), out, grad_fn)
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.exp(a.data)
-
-    def grad_fn(g):
-        return (g * out,)
-
-    return _record("exp", (a,), out, grad_fn)
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    ad = a.data
-
-    def grad_fn(g):
-        return (g / ad,)
-
-    return _record("log", (a,), np.log(ad), grad_fn)
-
-
 def absolute(a) -> Tensor:
     """|a|, with subgradient 0 at exactly 0."""
     a = _as_tensor(a)
@@ -486,17 +462,6 @@ def absolute(a) -> Tensor:
         return (g * sign,)
 
     return _record("abs", (a,), np.abs(a.data), grad_fn)
-
-
-def power(a, exponent: float) -> Tensor:
-    a = _as_tensor(a)
-    p = float(exponent)
-    ad = a.data
-
-    def grad_fn(g):
-        return (g * p * np.power(ad, p - 1.0),)
-
-    return _record("power", (a,), np.power(ad, p), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -642,47 +607,8 @@ def scale_rows(x, s) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# dispatch, backward, finite differences
+# backward, finite differences
 # ---------------------------------------------------------------------------
-
-_PRIMITIVES: dict[str, Callable] = {
-    "add": add,
-    "subtract": sub,
-    "multiply": mul,
-    "scalar_multiply": smul,
-    "divide": div,
-    "matmul": matmul,
-    "transpose": transpose,
-    "reshape": reshape,
-    "softmax": softmax,
-    "log_softmax": log_softmax,
-    "layer_norm": layer_norm,
-    "gelu": gelu,
-    "tanh": tanh,
-    "exp": exp,
-    "log": log,
-    "abs": absolute,
-    "power": power,
-    "sum": reduce_sum,
-    "mean": reduce_mean,
-    "max": max_last,
-    "gather": gather,
-    "take_last": take_last,
-    "masked_fill": masked_fill,
-    "clamp": clamp,
-    "concat": concat,
-    "detach": detach,
-    "scale_rows": scale_rows,
-}
-
-
-def apply(op: str, *args, **kwargs) -> Tensor:
-    """Apply a primitive by name (see ``_PRIMITIVES`` for the catalog)."""
-    try:
-        fn = _PRIMITIVES[op]
-    except KeyError:
-        raise ValueError(f"unknown primitive {op!r}") from None
-    return fn(*args, **kwargs)
 
 
 class GradientMap:

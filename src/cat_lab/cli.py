@@ -47,7 +47,7 @@ from cat_lab.trainer import (
     DivergenceError,
     TrainConfig,
     evaluate,
-    train,
+    seeded_trainer,
     write_metrics_csv,
     write_summary_json,
     summarize_run,
@@ -325,9 +325,9 @@ def run_training(config: dict) -> dict:
         run_dir = out / f"seed_{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
+        trainer = seeded_trainer(model_config, run_config, task)
         try:
-            model, history = train(model_config, run_config, train_set,
-                                   eval_sets, task=task)
+            history = trainer.train(train_set, eval_sets)
         except DivergenceError as exc:
             write_metrics_csv(exc.history, run_dir / "metrics.csv")
             if exc.last_good is not None:
@@ -336,9 +336,10 @@ def run_training(config: dict) -> dict:
                 rescue.save(run_dir / "model.npz")
             raise
         wall = time.perf_counter() - started
-        final_eval = {name: evaluate(model, ds, task)
-                      for name, ds in eval_sets.items()}
-        model.save(run_dir / "model.npz")
+        # training evaluated every split after its last step; zero steps did not
+        final_eval = (trainer.last_eval if history
+                      else trainer.evaluate_splits(eval_sets))
+        trainer.model.save(run_dir / "model.npz")
         write_metrics_csv(history, run_dir / "metrics.csv")
         write_summary_json(
             summarize_run(model_config, run_config, history, final_eval, wall),

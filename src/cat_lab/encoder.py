@@ -35,7 +35,6 @@ class ModelConfig:
     max_seq_len: int = 24
     n_classes: int = 3
     use_span_head: bool = False
-    dropout: float = 0.0
     pad_id: int = 0
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class ModelConfig:
             )
         if self.n_layers < 2:
             raise ValueError("need n_layers >= 2 so an interior mix layer exists")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 class EncoderModel:
@@ -150,7 +147,7 @@ class EncoderModel:
         b, h, s, dk = x.shape
         return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (b, s, h * dk))
 
-    def _block(self, x: Tensor, i: int, mask, dropout_rng) -> Tensor:
+    def _block(self, x: Tensor, i: int, mask) -> Tensor:
         p = f"layer{i}."
         cfg = self.config
         normed = self._ln(x, p + "ln1_gain", p + "ln1_bias")
@@ -164,25 +161,15 @@ class EncoderModel:
             scores = ad.masked_fill(scores, key_pad, MASK_FILL)
         ctx = self._merge_heads(ad.matmul(ad.softmax(scores), v))
         attn_out = ad.add(ad.matmul(ctx, self._params[p + "wo"]), self._params[p + "bo"])
-        attn_out = self._dropout(attn_out, dropout_rng)
         x = ad.add(x, attn_out)
         normed = self._ln(x, p + "ln2_gain", p + "ln2_bias")
         hidden = ad.gelu(ad.add(ad.matmul(normed, self._params[p + "w_ff1"]),
                                 self._params[p + "b_ff1"]))
         ff_out = ad.add(ad.matmul(hidden, self._params[p + "w_ff2"]),
                         self._params[p + "b_ff2"])
-        ff_out = self._dropout(ff_out, dropout_rng)
         return ad.add(x, ff_out)
 
-    def _dropout(self, x: Tensor, rng) -> Tensor:
-        rate = self.config.dropout
-        if rate <= 0.0 or rng is None:
-            return x
-        keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-        return ad.mul(x, Tensor(keep))
-
-    def forward_layers(self, h: Tensor, from_layer: int, to_layer: int, mask,
-                       dropout_rng=None) -> Tensor:
+    def forward_layers(self, h: Tensor, from_layer: int, to_layer: int, mask) -> Tensor:
         """Apply layers from_layer+1 .. to_layer; equal bounds is the identity."""
         n = self.config.n_layers
         if not 0 <= from_layer <= to_layer <= n:
@@ -191,7 +178,7 @@ class EncoderModel:
                 f"got ({from_layer}, {to_layer})"
             )
         for i in range(from_layer, to_layer):
-            h = self._block(h, i, mask, dropout_rng)
+            h = self._block(h, i, mask)
         return h
 
     def _final_norm(self, h: Tensor) -> Tensor:
@@ -231,14 +218,6 @@ class EncoderModel:
 
         return head("span_start"), head("span_end")
 
-    def forward(self, tokens: np.ndarray, dropout_rng=None):
-        """Full pass: embed -> all layers -> task head outputs."""
-        h, mask = self.embed(tokens)
-        h = self.forward_layers(h, 0, self.config.n_layers, mask, dropout_rng)
-        if self.config.use_span_head:
-            return self.span_logits(h, mask), mask
-        return self.classify(h, mask), mask
-
     # -- checkpointing -------------------------------------------------------
 
     def save(self, path) -> None:
@@ -251,8 +230,9 @@ class EncoderModel:
     @classmethod
     def load(cls, path) -> "EncoderModel":
         with np.load(path) as archive:
-            header = bytes(archive["__config__"]).decode("utf-8")
-            config = ModelConfig(**json.loads(header))
+            header = json.loads(bytes(archive["__config__"]).decode("utf-8"))
+            header.pop("dropout", None)  # older headers hold it; it was never applied
+            config = ModelConfig(**header)
             model = cls(config, rng=None)
             names = {n[2:] for n in archive.files if n.startswith("p/")}
             if names != set(model._params):

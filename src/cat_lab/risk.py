@@ -24,6 +24,10 @@ TRUE_LABEL_PROB = "true_label_prob"
 _DENOM_FLOOR = 1e-12
 
 
+class ZeroConfidenceError(ValueError):
+    """A counterfactual confidence is exactly zero, so its ratio is undefined."""
+
+
 @dataclass
 class RiskConfig:
     """Weight bounds [lower, upper] and ratio behavior.
@@ -136,12 +140,12 @@ def importance_ratio(probs_original, probs_counterfactual, config: RiskConfig,
 
     The denominator is floored at 1e-12 so a collapsed counterfactual cannot
     produce infinities before bounding; an exactly zero confidence is not a
-    distribution and raises.
+    distribution and raises ``ZeroConfidenceError``.
     """
     num = _confidence(probs_original, labels, config.estimator)
     den = _confidence(probs_counterfactual, labels, config.estimator)
     if np.any(den.data <= 0.0):
-        raise ValueError(
+        raise ZeroConfidenceError(
             "importance ratio: counterfactual confidence is zero; "
             "predictions are not a probability distribution"
         )

@@ -31,16 +31,23 @@ from cat_lab.autodiff import GradientMap, Tape, Tensor, backward
 from cat_lab.datagen import CLASSIFICATION, SPAN, Dataset
 from cat_lab.encoder import EncoderModel, ModelConfig
 from cat_lab.mixing import (
+    MASK_STRATEGIES,
     NON_ANSWER_CONTEXT,
+    POSITION_STRATEGIES,
     USE_I,
     BetaParams,
-    MixPlan,
     build_mix_plan,
     interpolate,
     qa_position_mask,
     resolve_attention_mask,
 )
-from cat_lab.risk import RiskConfig, erm_loss, importance_weights, crm_loss
+from cat_lab.risk import (
+    RiskConfig,
+    ZeroConfidenceError,
+    crm_loss,
+    erm_loss,
+    importance_weights,
+)
 
 SEQUENTIAL = "sequential"
 COMBINED = "combined"
@@ -80,7 +87,11 @@ def frozen_parameters(model: EncoderModel):
 
 
 class DivergenceError(RuntimeError):
-    """A loss went non-finite; carries the last good parameter snapshot."""
+    """A loss, a gradient or a counterfactual confidence collapsed.
+
+    ``Trainer.train`` attaches the history so far and the last good
+    parameter snapshot.
+    """
 
     def __init__(self, message, history=None, last_good=None):
         super().__init__(message)
@@ -126,6 +137,10 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if not self.candidate_layers:
             raise ValueError("candidate layer set must be nonempty")
+        if self.mask_strategy not in MASK_STRATEGIES:
+            raise ValueError(f"unknown mask strategy {self.mask_strategy!r}")
+        if self.span_mix_strategy not in POSITION_STRATEGIES:
+            raise ValueError(f"unknown span mix strategy {self.span_mix_strategy!r}")
 
 
 def resolve_schedule(config: TrainConfig, n_train: int) -> tuple[int, int]:
@@ -141,7 +156,11 @@ def resolve_schedule(config: TrainConfig, n_train: int) -> tuple[int, int]:
 
 
 class Adam:
-    """Adaptive-moment optimizer with global-norm clipping."""
+    """Adaptive-moment optimizer with global-norm clipping.
+
+    A non-finite gradient norm raises ``DivergenceError`` before any
+    parameter or moment changes.
+    """
 
     def __init__(self, params: dict[str, Tensor], beta1=0.9, beta2=0.999, eps=1e-8,
                  grad_clip: float | None = None):
@@ -153,14 +172,15 @@ class Adam:
         self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self, grads: GradientMap, lr: float) -> None:
-        self.t += 1
         live = [(name, p, grads.get(p)) for name, p in self.params.items()]
         live = [(name, p, g.data) for name, p, g in live if g is not None]
+        norm = np.sqrt(sum(float(np.sum(g * g)) for _, _, g in live))
+        if not np.isfinite(norm):
+            raise DivergenceError(f"gradient norm is {norm} at update {self.t + 1}")
+        self.t += 1
         scale = 1.0
-        if self.grad_clip is not None:
-            norm = np.sqrt(sum(float(np.sum(g * g)) for _, _, g in live))
-            if norm > self.grad_clip:
-                scale = self.grad_clip / norm
+        if self.grad_clip is not None and norm > self.grad_clip:
+            scale = self.grad_clip / norm
         correct1 = 1.0 - self.beta1**self.t
         correct2 = 1.0 - self.beta2**self.t
         for name, p, gd in live:
@@ -198,6 +218,7 @@ class Trainer:
                            if config.algorithm == CAT_STAR else config.adversarial)
         self.step_count = 0
         self.history: list[dict] = []
+        self.last_eval: dict[str, dict] | None = None  # reports of the latest evaluation
         self._epoch_order: np.ndarray | None = None
         self._cursor = 0
 
@@ -259,10 +280,7 @@ class Trainer:
 
     def _check_finite(self, name: str, value: float) -> float:
         if not np.isfinite(value):
-            raise DivergenceError(
-                f"{name} became non-finite at step {self.step_count}",
-                history=self.history,
-            )
+            raise DivergenceError(f"{name} became non-finite at step {self.step_count}")
         return value
 
     def erm_step(self, dataset: Dataset, idx: np.ndarray, phase: str,
@@ -287,21 +305,15 @@ class Trainer:
             "cal_param_delta": None,
         }
 
-    def _counterfactual_states(self, dataset: Dataset, idx, h_stage, mask, tape):
-        """Partner hidden states per blend layer, in-batch or cross-batch."""
-        if not self.config.cross_batch_partners:
-            return None, None
-        n = len(dataset)
-        partner_idx = self.rng.integers(0, n, size=idx.size)
-        with tape:
-            h0, partner_mask = self.model.embed(dataset.tokens[partner_idx])
-            partner_stage = {}
-            h, prev = h0, 0
-            for m in sorted(h_stage):
-                h = self.model.forward_layers(h, prev, m, partner_mask)
-                partner_stage[m] = h
-                prev = m
-        return partner_stage, partner_mask
+    def _staged_forward(self, tokens: np.ndarray, blend_layers: list[int]):
+        """Embed ``tokens`` and keep the hidden states at each blend layer."""
+        h, mask = self.model.embed(tokens)
+        stage, prev = {}, 0
+        for m in blend_layers:
+            h = self.model.forward_layers(h, prev, m, mask)
+            stage[m] = h
+            prev = m
+        return stage, mask
 
     def cat_step(self, dataset: Dataset, idx: np.ndarray) -> dict:
         cfg = self.config
@@ -321,38 +333,43 @@ class Trainer:
         # original forward, caching states at every blend layer
         tape = Tape()
         with tape:
-            h0, mask = model.embed(tokens)
-            h_stage, h, prev = {}, h0, 0
-            for m in blend_layers:
-                h = model.forward_layers(h, prev, m, mask)
-                h_stage[m] = h
-                prev = m
-            h_last = model.forward_layers(h, prev, n_layers, mask)
+            h_stage, mask = self._staged_forward(tokens, blend_layers)
+            last = blend_layers[-1]
+            h_last = model.forward_layers(h_stage[last], last, n_layers, mask)
             outputs = self._head(h_last, mask)
 
-        partner_stage, partner_mask = self._counterfactual_states(
-            dataset, idx, h_stage, mask, tape
-        )
+        # sample i blends with row partner_rows[i] of the partner states
+        if cfg.cross_batch_partners:
+            partner_idx = self.rng.integers(0, len(dataset), size=idx.size)
+            with tape:
+                partner_stage, partner_mask = self._staged_forward(
+                    dataset.tokens[partner_idx], blend_layers
+                )
+            partner_rows = np.arange(idx.size)
+        else:
+            partner_stage, partner_mask, partner_rows = h_stage, mask, plan.partner
+
+        # one group per blend layer: the rows blending there, their partners'
+        # rows, their position mask and the forward from the blend on
+        groups = []
+        for m in blend_layers:
+            rows = np.flatnonzero(plan.mix_layers == m)
+            partners = partner_rows[rows]
+            cf_mask = resolve_attention_mask(
+                cfg.mask_strategy, mask[rows], partner_mask[partners], m, n_layers
+            )
+            sub_pm = None if position_mask is None else position_mask[rows]
+            groups.append((m, rows, partners, sub_pm,
+                           self._make_predict(m, cf_mask, mask[rows])))
 
         # inner adversarial loop on detached states; parameters must not move
         before = model.snapshot() if cfg.track_param_freeze else None
         lam = plan.lam.copy()
-        groups = [(m, np.flatnonzero(plan.mix_layers == m)) for m in blend_layers]
-        for m, rows in groups:
+        for m, rows, partners, sub_pm, predict in groups:
             h_i = Tensor(h_stage[m].data[rows])
-            if partner_stage is None:
-                h_j = Tensor(h_stage[m].data[plan.partner[rows]])
-                mask_j = mask[plan.partner[rows]]
-            else:
-                h_j = Tensor(partner_stage[m].data[rows])
-                mask_j = partner_mask[rows]
-            cf_mask = resolve_attention_mask(
-                cfg.mask_strategy, mask[rows], mask_j, m, n_layers
-            )
-            predict = self._make_predict(m, cf_mask, mask[rows])
+            h_j = Tensor(partner_stage[m].data[partners])
             sub_labels = (tuple(l[rows] for l in labels) if self.task == SPAN
                           else labels[rows])
-            sub_pm = None if position_mask is None else position_mask[rows]
             sub_plan = replace(plan, partner=plan.partner[rows], lam=lam[rows],
                                mix_layers=plan.mix_layers[rows], position_mask=sub_pm)
             with frozen_parameters(model):
@@ -360,7 +377,6 @@ class Trainer:
                     sub_plan, h_i, h_j, sub_labels, predict, self.adv_config, sub_pm
                 )
             lam[rows] = optimized.lam
-        plan = replace(plan, lam=lam)
 
         cal_param_delta = None
         if cfg.track_param_freeze:
@@ -372,24 +388,12 @@ class Trainer:
         # counterfactual predictions at the final coefficients, spliced onto
         # the original tape so attached weights stay differentiable
         with tape:
-            cf_parts, order = [], []
-            for m, rows in groups:
+            cf_parts = []
+            for m, rows, partners, sub_pm, predict in groups:
                 h_i = ad.gather(h_stage[m], rows)
-                if partner_stage is None:
-                    h_j = ad.gather(h_stage[m], plan.partner[rows])
-                    mask_j = mask[plan.partner[rows]]
-                else:
-                    h_j = ad.gather(partner_stage[m], rows)
-                    mask_j = partner_mask[rows]
-                cf_mask = resolve_attention_mask(
-                    cfg.mask_strategy, mask[rows], mask_j, m, n_layers
-                )
-                sub_pm = None if position_mask is None else position_mask[rows]
-                mixed = interpolate(h_i, h_j, lam[rows], sub_pm)
-                predict = self._make_predict(m, cf_mask, mask[rows])
-                cf_parts.append(predict(mixed))
-                order.append(rows)
-            inverse = np.argsort(np.concatenate(order))
+                h_j = ad.gather(partner_stage[m], partners)
+                cf_parts.append(predict(interpolate(h_i, h_j, lam[rows], sub_pm)))
+            inverse = np.argsort(np.concatenate([rows for _, rows, *_ in groups]))
             if self.task == SPAN:
                 cf_outputs = (
                     ad.gather(ad.concat([p[0] for p in cf_parts], axis=0), inverse),
@@ -398,10 +402,16 @@ class Trainer:
             else:
                 cf_outputs = ad.gather(ad.concat(cf_parts, axis=0), inverse)
 
-            weights = importance_weights(
-                self._probs(outputs), self._probs(cf_outputs), cfg.risk,
-                labels=labels,
-            )
+            try:
+                weights = importance_weights(
+                    self._probs(outputs), self._probs(cf_outputs), cfg.risk,
+                    labels=labels,
+                )
+            except ZeroConfidenceError as exc:
+                raise DivergenceError(
+                    "counterfactual confidence collapsed to zero "
+                    f"at step {self.step_count}"
+                ) from exc
             crm = crm_loss(outputs, labels, weights)
             if cfg.update_mode == COMBINED:
                 erm_same = erm_loss(outputs, labels)
@@ -431,7 +441,7 @@ class Trainer:
             "phase": "cat",
             "erm_loss": erm_value,
             "crm_loss": crm_value,
-            "mean_abs_lambda": float(np.mean(np.abs(plan.lam))),
+            "mean_abs_lambda": float(np.mean(np.abs(lam))),
             "mean_weight": float(weights.bounded.data.mean()),
             "cal_param_delta": cal_param_delta,
         }
@@ -453,32 +463,41 @@ class Trainer:
                 else:
                     row = self.cat_step(train_set, idx)
             except DivergenceError as exc:
-                exc.last_good = last_good
+                exc.history, exc.last_good = self.history, last_good
                 raise
             last_good = self.model.snapshot()
             should_eval = (cfg.eval_interval > 0
                            and self.step_count % cfg.eval_interval == 0)
             if should_eval or self.step_count == total:
-                for name, ds in eval_sets.items():
-                    report = evaluate(self.model, ds, self.task,
-                                      batch_size=cfg.eval_batch_size)
+                self.last_eval = self.evaluate_splits(eval_sets)
+                for name, report in self.last_eval.items():
                     for metric, value in report.items():
                         row[f"eval_{name}_{metric}"] = value
             self.history.append(row)
         return self.history
+
+    def evaluate_splits(self, eval_sets: dict[str, Dataset]) -> dict[str, dict]:
+        """One ``evaluate`` report per named split, at the eval batch size."""
+        return {name: evaluate(self.model, ds, self.task,
+                               batch_size=self.config.eval_batch_size)
+                for name, ds in eval_sets.items()}
+
+
+def seeded_trainer(model_config: ModelConfig, config: TrainConfig,
+                   task: str) -> Trainer:
+    """A fresh model and trainer whose random draws all derive from the seed."""
+    seq = np.random.SeedSequence(config.seed)
+    model_rng, trainer_rng = (np.random.default_rng(s) for s in seq.spawn(2))
+    return Trainer(EncoderModel(model_config, model_rng), config, task,
+                   rng=trainer_rng)
 
 
 def train(model_config: ModelConfig, config: TrainConfig, train_set: Dataset,
           eval_sets: dict[str, Dataset] | None = None,
           task: str | None = None) -> tuple[EncoderModel, list[dict]]:
     """Build a model from the seed and run the configured algorithm."""
-    task = task or train_set.task
-    seq = np.random.SeedSequence(config.seed)
-    model_rng, trainer_rng = (np.random.default_rng(s) for s in seq.spawn(2))
-    model = EncoderModel(model_config, model_rng)
-    trainer = Trainer(model, config, task, rng=trainer_rng)
-    history = trainer.train(train_set, eval_sets)
-    return model, history
+    trainer = seeded_trainer(model_config, config, task or train_set.task)
+    return trainer.model, trainer.train(train_set, eval_sets)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ LABELS = np.array([1])
 
 
 def test_objective_matches_closed_form_oracle():
-    cfg = AdversarialConfig(gamma=10.0, eta=20.0, norm_order=2.0, steps=3)
+    cfg = AdversarialConfig(gamma=10.0, eta=20.0, steps=3)
     lam = Tensor(np.array([0.4]), requires_grad=True)
     with Tape():
         obj = adversarial_objective(lam, H_I, H_J, LABELS, toy_predict(3.0), cfg)
@@ -73,7 +73,7 @@ def test_objective_at_lambda_zero_uses_original_state():
 
 
 def test_objective_with_zero_gamma_eta_is_minus_abs_lambda():
-    cfg = AdversarialConfig(gamma=0.0, eta=0.0, norm_order=2.0)
+    cfg = AdversarialConfig(gamma=0.0, eta=0.0)
     lam = Tensor(np.array([0.2]))
     obj = adversarial_objective(lam, H_I, H_J, LABELS, toy_predict(3.0), cfg)
     assert obj.item() == pytest.approx(-0.2, abs=1e-15)
@@ -181,8 +181,6 @@ def test_default_config_matches_classification_preset():
 def test_config_validation():
     with pytest.raises(ValueError):
         AdversarialConfig(gamma=-1.0)
-    with pytest.raises(ValueError):
-        AdversarialConfig(norm_order=0.5)
     with pytest.raises(ValueError):
         AdversarialConfig(steps=-1)
     with pytest.raises(ValueError):

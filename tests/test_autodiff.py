@@ -78,10 +78,7 @@ def _case_factories(rng):
         "layer_norm": (lambda x: scalarize(ad.layer_norm(x)), _rand((2, 3))),
         "gelu": (lambda x: scalarize(ad.gelu(x)), _rand((2, 3))),
         "tanh": (lambda x: scalarize(ad.tanh(x)), _rand((2, 3))),
-        "exp": (lambda x: scalarize(ad.exp(x)), _rand((2, 3))),
-        "log": (lambda x: scalarize(ad.log(ad.add(x, 4.0))), _rand((2, 3))),
         "abs": (lambda x: scalarize(ad.absolute(x)), abs_x),
-        "power": (lambda x: scalarize(ad.power(ad.add(x, 4.0), 1.6)), _rand((2, 3))),
         "sum": (lambda x: ad.reduce_sum(x), _rand((2, 3))),
         "sum_axis": (lambda x: scalarize(ad.reduce_sum(x, axis=-1)), _rand((2, 3))),
         "mean": (lambda x: ad.reduce_mean(x), _rand((2, 3))),
@@ -154,7 +151,8 @@ def test_gather_bounds_check():
 
 def test_random_five_op_graphs_match_finite_differences():
     # gradient of a randomly composed pipeline of differentiable primitives
-    unary = [ad.tanh, ad.gelu, ad.softmax, ad.layer_norm, lambda t: ad.exp(ad.smul(t, 0.3))]
+    unary = [ad.tanh, ad.gelu, ad.softmax, ad.layer_norm,
+             lambda t: ad.log_softmax(ad.smul(t, 0.3))]
     for trial in range(100):
         rng = np.random.default_rng(trial)
         picks = rng.integers(0, len(unary), size=5)
@@ -181,13 +179,6 @@ def test_no_mid_rank_broadcasting():
     # (B, 1, d) against (B, S, d) must fail: only suffix expansion is allowed
     with pytest.raises(ValueError):
         ad.add(Tensor(np.zeros((2, 1, 3))), Tensor(np.zeros((2, 4, 3))))
-
-
-def test_apply_dispatch_and_unknown_op():
-    out = ad.apply("matmul", Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))))
-    assert out.shape == (2, 4)
-    with pytest.raises(ValueError, match="unknown primitive"):
-        ad.apply("convolve", Tensor(np.ones(2)))
 
 
 def test_softmax_rows_sum_to_one():

@@ -141,6 +141,59 @@ def test_train_rejects_unknown_config_field(dataset_dir, tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("assignment, field", [
+    ("train.mask_strategy=bogus", "mask strategy"),
+    ("train.span_mix_strategy=bogus", "span mix strategy"),
+    ("model.dropout=0.5", "dropout"),
+    ("train.adversarial.norm_order=2", "norm_order"),
+])
+def test_train_rejects_bad_field_before_training(dataset_dir, tmp_path, capsys,
+                                                 assignment, field):
+    out = tmp_path / "x"
+    code = main(["train", "--data", str(dataset_dir), "--preset", "cat",
+                 "--out", str(out), *FAST_OVERRIDES, "--set", assignment])
+    assert code == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert not (out / "seed_0").exists()
+
+
+def test_train_evaluates_each_split_once(dataset_dir, tmp_path, monkeypatch):
+    import cat_lab.cli
+    import cat_lab.trainer
+
+    calls = []
+    original = cat_lab.trainer.evaluate
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cat_lab.trainer, "evaluate", counting)
+    monkeypatch.setattr(cat_lab.cli, "evaluate", counting)
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(dataset_dir), "--preset", "cat",
+                 "--seeds", "1", "--out", str(out), *FAST_OVERRIDES]) == EXIT_OK
+    assert len(calls) == 2  # iid and ood, after the last step only
+    summary = json.loads((out / "seed_0" / "summary.json").read_text())
+    with open(out / "seed_0" / "metrics.csv") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    for split in ("iid", "ood"):
+        assert float(last[f"eval_{split}_accuracy"]) == \
+            summary["final_eval"][split]["accuracy"]
+
+
+def test_train_zero_steps_reports_final_eval(dataset_dir, tmp_path):
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(dataset_dir), "--preset", "cat",
+                 "--seeds", "1", "--out", str(out), *FAST_OVERRIDES,
+                 "--set", "train.warmup_steps=0", "--set", "train.max_steps=0"])
+    assert code == EXIT_OK
+    summary = json.loads((out / "seed_0" / "summary.json").read_text())
+    assert summary["steps"] == 0
+    assert set(summary["final_eval"]) == {"iid", "ood"}
+    assert summary["final_eval"]["iid"]["n"] == 24
+
+
 def test_eval_subcommand(dataset_dir, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["train", "--data", str(dataset_dir), "--preset", "erm",

@@ -1,5 +1,7 @@
 """Encoder shape, masking, split-forward, and checkpoint tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -138,17 +140,6 @@ def test_deterministic_forward_without_dropout(model):
     np.testing.assert_array_equal(outs[0], outs[1])
 
 
-def test_dropout_changes_outputs_between_draws():
-    cfg = ModelConfig(vocab_size=16, d_model=8, n_heads=2, n_layers=2,
-                      d_ff=8, max_seq_len=8, dropout=0.5)
-    m = EncoderModel(cfg, np.random.default_rng(0))
-    h0, mask = m.embed(np.array([[1, 2, 3]]))
-    rng = np.random.default_rng(5)
-    a = m.forward_layers(h0, 0, 2, mask, dropout_rng=rng).data
-    b = m.forward_layers(h0, 0, 2, mask, dropout_rng=rng).data
-    assert not np.array_equal(a, b)
-
-
 def test_embedding_gradient_only_on_batch_tokens(model):
     tokens = np.array([[3, 9, 4], [8, 3, 1]])
     labels = np.array([0, 2])
@@ -180,6 +171,24 @@ def test_checkpoint_round_trip_is_bit_exact(model, tmp_path):
     a = model.classify(model.forward_layers(h0, 0, 4, mask), mask).data
     b = loaded.classify(loaded.forward_layers(h0l, 0, 4, maskl), maskl).data
     np.testing.assert_array_equal(a, b)
+
+
+def test_checkpoint_with_legacy_dropout_key_loads(model, tmp_path):
+    # checkpoints from before ``dropout`` left the config carry it in the header
+    path = tmp_path / "model.npz"
+    model.save(path)
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    header = json.loads(bytes(arrays["__config__"]).decode("utf-8"))
+    header["dropout"] = 0.0
+    arrays["__config__"] = np.frombuffer(json.dumps(header).encode("utf-8"),
+                                         dtype=np.uint8)
+    legacy = tmp_path / "legacy.npz"
+    np.savez(legacy, **arrays)
+    loaded = EncoderModel.load(legacy)
+    assert loaded.config == model.config
+    for name, p in model.parameters().items():
+        np.testing.assert_array_equal(loaded.parameters()[name].data, p.data)
 
 
 def test_parameter_count_is_function_of_config():

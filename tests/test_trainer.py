@@ -12,10 +12,10 @@ from cat_lab.trainer import (
     COMBINED,
     Adam,
     DivergenceError,
-    Trainer,
     TrainConfig,
     evaluate,
     resolve_schedule,
+    seeded_trainer,
     span_f1,
     train,
     write_metrics_csv,
@@ -39,11 +39,7 @@ def class_data():
 
 
 def make_trainer(config=None, model_config=SMALL_MODEL, task="classification"):
-    config = config or small_config()
-    seq = np.random.SeedSequence(config.seed)
-    model_rng, trainer_rng = (np.random.default_rng(s) for s in seq.spawn(2))
-    model = EncoderModel(model_config, model_rng)
-    return Trainer(model, config, task, rng=trainer_rng)
+    return seeded_trainer(model_config, config or small_config(), task)
 
 
 def test_config_validation():
@@ -55,6 +51,10 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="layer"):
         TrainConfig(candidate_layers=())
+    with pytest.raises(ValueError, match="mask strategy"):
+        TrainConfig(mask_strategy="bogus")
+    with pytest.raises(ValueError, match="span mix strategy"):
+        TrainConfig(span_mix_strategy="bogus")
 
 
 def test_schedule_resolution():
@@ -100,24 +100,39 @@ def test_erm_algorithm_never_enters_cat_phase(class_data):
     assert all(row["crm_loss"] is None for row in history)
 
 
+THREE_LAYER_MODEL = ModelConfig(vocab_size=32, d_model=8, n_heads=2, n_layers=3,
+                                d_ff=8, max_seq_len=16, n_classes=3)
+
+# (partner source, config overrides, model config)
+PARTNER_SOURCES = (
+    ("in-batch", {}, SMALL_MODEL),
+    ("cross-batch", {"cross_batch_partners": True}, SMALL_MODEL),
+    ("per-sample layer", {"per_sample_layer": True, "candidate_layers": (1, 2)},
+     THREE_LAYER_MODEL),
+)
+
+
 def test_cat_step_equals_double_erm_step_under_degeneration(class_data):
     # zero inner steps and a pinned [1, 1] weight interval: the counterfactual
-    # machinery must reduce to two plain empirical-risk updates
+    # machinery must reduce to two plain empirical-risk updates, whichever
+    # states the partners come from
     train_set, _, _ = class_data
-    cfg = small_config(
-        adversarial=AdversarialConfig(steps=0),
-        risk=RiskConfig(lower=1.0, upper=1.0),
-        crm_lr=3e-4, base_lr=1e-3,
-    )
-    a = make_trainer(cfg)
-    b = make_trainer(cfg)
-    idx = np.arange(8)
-    a.cat_step(train_set, idx)
-    b.erm_step(train_set, idx, phase="erm", lr=cfg.crm_lr)
-    b.step_count -= 1  # one logical batch, two optimizer applications
-    b.erm_step(train_set, idx, phase="erm", lr=cfg.base_lr)
-    for name, p in a.model.parameters().items():
-        np.testing.assert_array_equal(p.data, b.model.parameters()[name].data)
+    for source, overrides, model_config in PARTNER_SOURCES:
+        cfg = small_config(
+            adversarial=AdversarialConfig(steps=0),
+            risk=RiskConfig(lower=1.0, upper=1.0),
+            crm_lr=3e-4, base_lr=1e-3, **overrides,
+        )
+        a = make_trainer(cfg, model_config=model_config)
+        b = make_trainer(cfg, model_config=model_config)
+        idx = np.arange(8)
+        a.cat_step(train_set, idx)
+        b.erm_step(train_set, idx, phase="erm", lr=cfg.crm_lr)
+        b.step_count -= 1  # one logical batch, two optimizer applications
+        b.erm_step(train_set, idx, phase="erm", lr=cfg.base_lr)
+        for name, p in a.model.parameters().items():
+            np.testing.assert_array_equal(p.data, b.model.parameters()[name].data,
+                                          err_msg=f"{source}: {name}")
 
 
 def test_combined_degeneration_is_single_double_weighted_step(class_data):
@@ -184,13 +199,24 @@ def test_divergence_guard_raises_with_last_good(class_data):
     assert info.value.last_good is not None
 
 
+def test_zero_counterfactual_confidence_is_divergence(class_data):
+    # the true-label estimator on a class whose probability underflows to 0
+    train_set, _, _ = class_data
+    cfg = small_config(risk=RiskConfig(estimator="true_label_prob"),
+                       warmup_steps=0, max_steps=4)
+    trainer = make_trainer(cfg)
+    trainer.model.parameters()["cls_b2"].data = np.array([0.0, -1e4, 0.0])
+    with pytest.raises(DivergenceError, match="confidence") as info:
+        trainer.train(train_set)
+    assert info.value.last_good is not None
+    assert info.value.history is trainer.history
+
+
 def test_per_sample_layer_groups(class_data):
     train_set, _, _ = class_data
-    model_cfg = ModelConfig(vocab_size=32, d_model=8, n_heads=2, n_layers=3,
-                            d_ff=8, max_seq_len=16, n_classes=3)
     cfg = small_config(candidate_layers=(1, 2), per_sample_layer=True,
                        warmup_steps=0, max_steps=3)
-    trainer = make_trainer(cfg, model_config=model_cfg)
+    trainer = make_trainer(cfg, model_config=THREE_LAYER_MODEL)
     history = trainer.train(train_set)
     assert all(np.isfinite(r["crm_loss"]) for r in history)
 
@@ -254,6 +280,27 @@ def test_adam_grad_clip_rescales():
         adam.step(FakeGrads(), lr=0.1)
         updates[clip] = abs(1.0 - p.data[0])
     assert updates[1e-3] < updates[None]
+
+
+@pytest.mark.parametrize("clip", [None, 1.0])
+def test_adam_refuses_non_finite_gradient(clip):
+    from cat_lab.autodiff import Tensor
+
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    q = Tensor(np.array([3.0]), requires_grad=True)
+    adam = Adam({"p": p, "q": q}, grad_clip=clip)
+    grads = {id(p): Tensor(np.array([0.5, np.nan])), id(q): Tensor(np.array([1.0]))}
+
+    class FakeGrads:
+        def get(self, key):
+            return grads[id(key)]
+
+    with pytest.raises(DivergenceError, match="gradient"):
+        adam.step(FakeGrads(), lr=0.1)
+    np.testing.assert_array_equal(p.data, [1.0, -2.0])
+    np.testing.assert_array_equal(q.data, [3.0])
+    assert adam.t == 0
+    assert all(not np.any(m) for m in adam._m.values())
 
 
 # -- evaluation ---------------------------------------------------------------
