@@ -15,6 +15,15 @@ Scope is deliberately narrow:
   mismatch raises with the primitive and both shapes named;
 * matrix multiply additionally lets a 2-D operand expand across the other
   operand's leading batch dimensions.
+
+Besides the small primitives, fused ones cover the encoder's hot path with
+one tape node each and a hand-written backward pass: ``embedding``,
+``linear``, ``layer_norm_affine`` and ``attention``.  Their forward passes
+run the same numpy operations as the chains of small primitives they
+replace, so outputs are bit-identical; a backward pass computes only the
+gradients of inputs that require one.  Model parameters live in a
+``ParameterBuffer``: one contiguous float64 vector with a named Tensor
+viewing each slice.
 """
 
 from __future__ import annotations
@@ -56,7 +65,16 @@ __all__ = [
     "concat",
     "detach",
     "scale_rows",
+    "embedding",
+    "linear",
+    "layer_norm_affine",
+    "attention",
+    "MASK_FILL",
+    "ParameterBuffer",
 ]
+
+MASK_FILL = -1e9  # additive -inf surrogate for masked attention and span logits
+LN_EPS = 1e-5
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -385,16 +403,24 @@ def concat(tensors, axis: int = 0) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _softmax_last(x: np.ndarray) -> np.ndarray:
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _softmax_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return out * (g - (g * out).sum(axis=-1, keepdims=True))
+
+
 def softmax(a) -> Tensor:
     """Softmax over the last axis (numerically stabilized)."""
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax_last(a.data)
 
     def grad_fn(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - inner),)
+        return (_softmax_grad(g, out),)
 
     return _record("softmax", (a,), out, grad_fn)
 
@@ -412,19 +438,30 @@ def log_softmax(a) -> Tensor:
     return _record("log_softmax", (a,), out, grad_fn)
 
 
-def layer_norm(a, eps: float = 1e-5) -> Tensor:
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    # the arithmetic of x.mean(axis=-1, keepdims=True), without its Python wrapper
+    return x.sum(axis=-1, keepdims=True) / x.shape[-1]
+
+
+def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(x normalized over the last axis, 1 / its standard deviation)."""
+    centered = x - _mean_last(x)
+    inv = 1.0 / np.sqrt(_mean_last(centered * centered) + eps)
+    centered *= inv
+    return centered, inv
+
+
+def _normalize_grad(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    return inv * (g - _mean_last(g) - xhat * _mean_last(g * xhat))
+
+
+def layer_norm(a, eps: float = LN_EPS) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (no affine part)."""
     a = _as_tensor(a)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
+    xhat, inv = _normalize(a.data, eps)
 
     def grad_fn(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gx = (g * xhat).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - xhat * gx),)
+        return (_normalize_grad(g, xhat, inv),)
 
     return _record("layer_norm", (a,), xhat, grad_fn)
 
@@ -433,7 +470,10 @@ def gelu(a) -> Tensor:
     """Exact (erf-based) GELU."""
     a = _as_tensor(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = x * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = x * cdf
 
     def grad_fn(g):
@@ -517,22 +557,27 @@ def max_last(a) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def gather(a, indices) -> Tensor:
-    """Index axis 0 with an integer array; output shape = indices.shape + a.shape[1:]."""
+def gather(a, indices, axis: int = 0) -> Tensor:
+    """Index ``axis`` with an integer array, which takes that axis's place.
+
+    Output shape = a.shape[:axis] + indices.shape + a.shape[axis + 1:].
+    """
     a = _as_tensor(a)
     idx = np.asarray(indices)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ValueError(
-            f"gather: index out of range [0, {a.shape[0]}) for shape {a.shape}"
-        )
+    if not 0 <= axis < a.ndim:
+        raise ValueError(f"gather: axis {axis} out of range for shape {a.shape}")
+    n = a.shape[axis]
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"gather: index out of range [0, {n}) for shape {a.shape}")
     shape = a.shape
+    where = (slice(None),) * axis + (idx,)
 
     def grad_fn(g):
         gz = np.zeros(shape)
-        np.add.at(gz, idx, g)
+        np.add.at(gz, where, g)
         return (gz,)
 
-    return _record("gather", (a,), a.data[idx], grad_fn)
+    return _record("gather", (a,), a.data[where], grad_fn)
 
 
 def take_last(a, indices) -> Tensor:
@@ -607,6 +652,205 @@ def scale_rows(x, s) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# fused primitives
+# ---------------------------------------------------------------------------
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Gradient of a (d_in, d_out) weight applied as ``x @ w``, given ``g``.
+
+    One small product per leading index, summed, as ``matmul``'s backward
+    does: a single product over all rows can be big enough for a threaded
+    BLAS to split it across cores, and then waits on a busy core.
+    """
+    return _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), shape)
+
+
+def embedding(table, positions, tokens) -> Tensor:
+    """``table[tokens] + positions[:seq]`` for (batch, seq) integer ``tokens``."""
+    table, positions = _as_tensor(table), _as_tensor(positions)
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 2 or table.ndim != 2 or positions.ndim != 2 \
+            or table.shape[1] != positions.shape[1] or tokens.shape[1] > positions.shape[0]:
+        raise _shape_error("embedding", table.shape, positions.shape, tokens.shape)
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= table.shape[0]):
+        raise ValueError(f"embedding: token id out of range [0, {table.shape[0]})")
+    seq = tokens.shape[1]
+    table_shape, positions_shape = table.shape, positions.shape
+    need_table, need_positions = table.requires_grad, positions.requires_grad
+
+    def grad_fn(g):
+        g_table = g_positions = None
+        if need_table:
+            g_table = np.zeros(table_shape)
+            np.add.at(g_table, tokens, g)
+        if need_positions:
+            g_positions = np.zeros(positions_shape)
+            g_positions[:seq] = g.sum(axis=0)
+        return g_table, g_positions
+
+    out = table.data[tokens]
+    out += positions.data[:seq]
+    return _record("embedding", (table, positions), out, grad_fn)
+
+
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` over the last axis: x (..., d_in), w (d_in, d_out), b (d_out,)."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim < 1 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] \
+            or bd.shape != wd.shape[1:]:
+        raise _shape_error("linear", xd.shape, wd.shape, bd.shape)
+    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
+
+    def grad_fn(g):
+        gx = np.matmul(g, wd.T) if need_x else None
+        gw = _weight_grad(xd, g, wd.shape) if need_w else None
+        gb = _unbroadcast(g, bd.shape) if need_b else None
+        return gx, gw, gb
+
+    out = np.matmul(xd, wd)
+    out += bd
+    return _record("linear", (x, w, b), out, grad_fn)
+
+
+def layer_norm_affine(x, gain, bias, eps: float = LN_EPS) -> Tensor:
+    """``layer_norm(x) * gain + bias`` with gain and bias of shape (d,)."""
+    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    width = x.shape[-1:]
+    if x.ndim < 1 or gain.shape != width or bias.shape != width:
+        raise _shape_error("layer_norm_affine", x.shape, gain.shape, bias.shape)
+    gd = gain.data
+    xhat, inv = _normalize(x.data, eps)
+    need_x, need_gain, need_bias = x.requires_grad, gain.requires_grad, bias.requires_grad
+
+    def grad_fn(g):
+        gx = _normalize_grad(g * gd, xhat, inv) if need_x else None
+        ggain = _unbroadcast(g * xhat, width) if need_gain else None
+        gbias = _unbroadcast(g, width) if need_bias else None
+        return gx, ggain, gbias
+
+    out = xhat * gd
+    out += bias.data
+    return _record("layer_norm_affine", (x, gain, bias), out, grad_fn)
+
+
+def attention(x, wq, wk, wv, wo, bo, n_heads: int, key_pad=None) -> Tensor:
+    """Multi-head scaled dot-product self-attention with its output projection.
+
+    ``x`` is (batch, seq, d); the four projections are (d, d) and ``bo`` is
+    (d,).  ``key_pad`` is an optional (batch, seq) bool array marking keys
+    no query may attend to: their scores are replaced by ``MASK_FILL``
+    before the softmax, and receive no gradient.
+    """
+    inputs = tuple(_as_tensor(t) for t in (x, wq, wk, wv, wo, bo))
+    xd, wqd, wkd, wvd, wod, bod = (t.data for t in inputs)
+    if xd.ndim != 3 or any(w.shape != (xd.shape[2],) * 2 for w in (wqd, wkd, wvd, wod)) \
+            or bod.shape != xd.shape[2:]:
+        raise _shape_error("attention", *(t.shape for t in inputs))
+    b, s, d = xd.shape
+    if n_heads < 1 or d % n_heads:
+        raise ValueError(f"attention: d_model {d} not divisible by {n_heads} heads")
+    dk = d // n_heads
+    pad = None
+    if key_pad is not None:
+        if np.shape(key_pad) != (b, s):
+            raise _shape_error("attention", xd.shape, np.shape(key_pad))
+        pad = np.broadcast_to(np.asarray(key_pad, dtype=bool)[:, None, None, :],
+                              (b, n_heads, s, s))
+
+    def split(a):  # (b, s, d) -> (b, heads, s, dk)
+        return np.transpose(a.reshape(b, s, n_heads, dk), (0, 2, 1, 3))
+
+    def merge(a):  # (b, heads, s, dk) -> (b, s, d)
+        return np.transpose(a, (0, 2, 1, 3)).reshape(b, s, d)
+
+    q, k, v = split(np.matmul(xd, wqd)), split(np.matmul(xd, wkd)), split(np.matmul(xd, wvd))
+    scale = 1.0 / np.sqrt(dk)
+    scores = np.matmul(q, np.swapaxes(k, -1, -2))
+    scores *= scale
+    if pad is not None:
+        np.copyto(scores, MASK_FILL, where=pad)
+    probs = _softmax_last(scores)
+    del scores
+    ctx = merge(np.matmul(probs, v))
+    need = [t.requires_grad for t in inputs]
+
+    def grad_fn(g):
+        grads = [None] * 6
+        if need[4]:
+            grads[4] = _weight_grad(ctx, g, wod.shape)
+        if need[5]:
+            grads[5] = _unbroadcast(g, bod.shape)
+        if not any(need[:4]):
+            return grads
+        g_ctx = split(np.matmul(g, wod.T))
+        g_scores = _softmax_grad(np.matmul(g_ctx, np.swapaxes(v, -1, -2)), probs)
+        if pad is not None:
+            g_scores = np.where(pad, 0.0, g_scores)
+        g_scores = g_scores * scale
+        # gradients at the q, k and v projections' outputs, each (b, s, d)
+        g_proj = (merge(np.matmul(g_scores, k)),
+                  merge(np.matmul(np.swapaxes(g_scores, -1, -2), q)),
+                  merge(np.matmul(np.swapaxes(probs, -1, -2), g_ctx)))
+        weights = (wqd, wkd, wvd)
+        if need[0]:
+            # v + k + q is the order the reference chain of small primitives
+            # accumulates them in, so the two round alike
+            g_q, g_k, g_v = (np.matmul(gp, w.T) for gp, w in zip(g_proj, weights))
+            grads[0] = g_v + g_k + g_q
+        for i, gp in enumerate(g_proj, start=1):
+            if need[i]:
+                grads[i] = _weight_grad(xd, gp, weights[i - 1].shape)
+        return grads
+
+    out = np.matmul(ctx, wod)
+    out += bod
+    return _record("attention", inputs, out, grad_fn)
+
+
+# ---------------------------------------------------------------------------
+# parameter storage
+# ---------------------------------------------------------------------------
+
+
+class ParameterBuffer:
+    """Named float64 parameters stored back to back in one contiguous vector.
+
+    ``flat`` is the vector; ``tensors`` maps each name, in layout order, to a
+    requires-grad Tensor whose ``.data`` is a view into ``flat``.  Writes go
+    through those views in place (``t.data[...] = ...``): rebinding a
+    Tensor's ``.data`` detaches it from ``flat``, and the optimizer refuses
+    to step such a parameter.
+    """
+
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        self._layout = []  # (name, offset, size, shape)
+        offset = 0
+        for name, a in arrays.items():
+            self._layout.append((name, offset, a.size, a.shape))
+            offset += a.size
+        self.flat = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
+        self.tensors = {name: Tensor(view, requires_grad=True)
+                        for name, view in self.views(self.flat).items()}
+        self._views = tuple(t.data for t in self.tensors.values())
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views into ``flat``, a vector with this buffer's layout."""
+        return {name: flat[offset:offset + size].reshape(shape)
+                for name, offset, size, shape in self._layout}
+
+    def check_views(self) -> None:
+        """Raise ``ValueError`` naming a parameter whose ``.data`` was rebound."""
+        for (name, t), view in zip(self.tensors.items(), self._views):
+            if t.data is not view:
+                raise ValueError(
+                    f"parameter {name!r} no longer views the parameter buffer: "
+                    "write into .data in place instead of rebinding it"
+                )
+
+
+# ---------------------------------------------------------------------------
 # backward, finite differences
 # ---------------------------------------------------------------------------
 
@@ -614,16 +858,18 @@ def scale_rows(x, s) -> Tensor:
 class GradientMap:
     """Gradients from one backward pass, keyed by tape node id.
 
-    Lookup also accepts the leaf Tensor itself for convenience.
+    Lookup also accepts the leaf Tensor itself for convenience; a Tensor last
+    recorded on another tape has no gradient here.
     """
 
-    def __init__(self, by_node: dict[int, Tensor]):
+    def __init__(self, by_node: dict[int, Tensor], tape: Tape):
         self._by_node = by_node
+        self._tape = tape
 
-    @staticmethod
-    def _key(key) -> int | None:
+    def _key(self, key) -> int | None:
         if isinstance(key, Tensor):
-            return key.node.idx if key.node is not None else None
+            node = key.node
+            return node.idx if node is not None and node.tape is self._tape else None
         return int(key)
 
     def __getitem__(self, key) -> Tensor:
@@ -677,7 +923,7 @@ def backward(loss: Tensor) -> GradientMap:
                 grads[parent.idx] = pg
             else:
                 grads[parent.idx] = grads[parent.idx] + pg
-    return GradientMap(leaves)
+    return GradientMap(leaves, node.tape)
 
 
 def finite_difference_grad(f, x: Tensor, step: float = 1e-5) -> Tensor:

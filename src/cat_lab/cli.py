@@ -322,10 +322,11 @@ def run_training(config: dict) -> dict:
     per_seed = {}
     for seed in seeds:
         run_config = replace(base_train, seed=seed)
+        started = time.perf_counter()
+        # the trainer checks the config against the model: fail before any output
+        trainer = seeded_trainer(model_config, run_config, task)
         run_dir = out / f"seed_{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
-        started = time.perf_counter()
-        trainer = seeded_trainer(model_config, run_config, task)
         try:
             history = trainer.train(train_set, eval_sets)
         except DivergenceError as exc:

@@ -20,9 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from cat_lab import autodiff as ad
-from cat_lab.autodiff import Tensor
-
-MASK_FILL = -1e9  # additive -inf surrogate for attention and span logits
+from cat_lab.autodiff import MASK_FILL, ParameterBuffer, Tensor
 
 
 @dataclass
@@ -50,65 +48,73 @@ class EncoderModel:
     """Embedding table, transformer layers, and task heads.
 
     Parameter count is a pure function of the config; construction with the
-    same rng seed is bit-reproducible.
+    same rng seed is bit-reproducible.  All parameters live in one
+    ``ParameterBuffer`` (``self.buffer``); every write to a parameter goes
+    into its ``.data`` in place.
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
         self.config = config
-        self._params: dict[str, Tensor] = {}
-        self._init_params(rng)
+        self.buffer = ParameterBuffer(self._init_arrays(rng))
+        self._params = self.buffer.tensors
 
     # -- parameters --------------------------------------------------------
 
-    def _add(self, name: str, array: np.ndarray) -> None:
-        self._params[name] = Tensor(array, requires_grad=True)
-
-    def _init_params(self, rng) -> None:
+    def _init_arrays(self, rng) -> dict[str, np.ndarray]:
         cfg = self.config
+        arrays: dict[str, np.ndarray] = {}
 
         def normal(*shape):
             if rng is None:
                 return np.zeros(shape)
             return rng.normal(0.0, 0.02, size=shape)
 
-        self._add("tok_emb", normal(cfg.vocab_size, cfg.d_model))
-        self._add("pos_emb", normal(cfg.max_seq_len, cfg.d_model))
+        arrays["tok_emb"] = normal(cfg.vocab_size, cfg.d_model)
+        arrays["pos_emb"] = normal(cfg.max_seq_len, cfg.d_model)
         for i in range(cfg.n_layers):
             p = f"layer{i}."
-            self._add(p + "ln1_gain", np.ones(cfg.d_model))
-            self._add(p + "ln1_bias", np.zeros(cfg.d_model))
+            arrays[p + "ln1_gain"] = np.ones(cfg.d_model)
+            arrays[p + "ln1_bias"] = np.zeros(cfg.d_model)
             for mat in ("wq", "wk", "wv", "wo"):
-                self._add(p + mat, normal(cfg.d_model, cfg.d_model))
-            self._add(p + "bo", np.zeros(cfg.d_model))
-            self._add(p + "ln2_gain", np.ones(cfg.d_model))
-            self._add(p + "ln2_bias", np.zeros(cfg.d_model))
-            self._add(p + "w_ff1", normal(cfg.d_model, cfg.d_ff))
-            self._add(p + "b_ff1", np.zeros(cfg.d_ff))
-            self._add(p + "w_ff2", normal(cfg.d_ff, cfg.d_model))
-            self._add(p + "b_ff2", np.zeros(cfg.d_model))
-        self._add("final_ln_gain", np.ones(cfg.d_model))
-        self._add("final_ln_bias", np.zeros(cfg.d_model))
-        self._add("cls_w1", normal(cfg.d_model, cfg.d_model))
-        self._add("cls_b1", np.zeros(cfg.d_model))
-        self._add("cls_w2", normal(cfg.d_model, cfg.n_classes))
-        self._add("cls_b2", np.zeros(cfg.n_classes))
+                arrays[p + mat] = normal(cfg.d_model, cfg.d_model)
+            arrays[p + "bo"] = np.zeros(cfg.d_model)
+            arrays[p + "ln2_gain"] = np.ones(cfg.d_model)
+            arrays[p + "ln2_bias"] = np.zeros(cfg.d_model)
+            arrays[p + "w_ff1"] = normal(cfg.d_model, cfg.d_ff)
+            arrays[p + "b_ff1"] = np.zeros(cfg.d_ff)
+            arrays[p + "w_ff2"] = normal(cfg.d_ff, cfg.d_model)
+            arrays[p + "b_ff2"] = np.zeros(cfg.d_model)
+        arrays["final_ln_gain"] = np.ones(cfg.d_model)
+        arrays["final_ln_bias"] = np.zeros(cfg.d_model)
+        arrays["cls_w1"] = normal(cfg.d_model, cfg.d_model)
+        arrays["cls_b1"] = np.zeros(cfg.d_model)
+        arrays["cls_w2"] = normal(cfg.d_model, cfg.n_classes)
+        arrays["cls_b2"] = np.zeros(cfg.n_classes)
         if cfg.use_span_head:
-            self._add("span_start_w", normal(cfg.d_model, 1))
-            self._add("span_start_b", np.zeros(1))
-            self._add("span_end_w", normal(cfg.d_model, 1))
-            self._add("span_end_b", np.zeros(1))
+            arrays["span_start_w"] = normal(cfg.d_model, 1)
+            arrays["span_start_b"] = np.zeros(1)
+            arrays["span_end_w"] = normal(cfg.d_model, 1)
+            arrays["span_end_b"] = np.zeros(1)
+        return arrays
 
     def parameters(self) -> dict[str, Tensor]:
         return self._params
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self._params.items()}
+        """A copy of every parameter, as named views into one copied vector."""
+        return self.buffer.views(self.buffer.flat.copy())
 
     def load_snapshot(self, arrays: dict[str, np.ndarray]) -> None:
+        """Write ``arrays`` into the parameters in place."""
         if set(arrays) != set(self._params):
             raise ValueError("snapshot parameter names do not match the model")
         for k, v in arrays.items():
-            self._params[k].data = np.asarray(v, dtype=np.float64).copy()
+            target = self._params[k].data
+            if np.shape(v) != target.shape:
+                raise ValueError(
+                    f"parameter {k!r}: shape {np.shape(v)} does not match {target.shape}"
+                )
+            target[...] = v
 
     # -- forward pieces ------------------------------------------------------
 
@@ -121,53 +127,31 @@ class EncoderModel:
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise ValueError(f"embed: tokens must be (batch, seq), got {tokens.shape}")
-        if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab_size):
-            raise ValueError(
-                f"embed: token id out of range [0, {cfg.vocab_size})"
-            )
         seq = tokens.shape[1]
         if seq > cfg.max_seq_len:
             raise ValueError(f"embed: sequence length {seq} > max {cfg.max_seq_len}")
-        h = ad.gather(self._params["tok_emb"], tokens)
-        pos = ad.gather(self._params["pos_emb"], np.arange(seq))
-        h = ad.add(h, pos)
+        h = ad.embedding(self._params["tok_emb"], self._params["pos_emb"], tokens)
         mask = (tokens != cfg.pad_id).astype(np.float64)
         return h, mask
 
-    def _ln(self, x: Tensor, gain: str, bias: str) -> Tensor:
-        normed = ad.layer_norm(x)
-        return ad.add(ad.mul(normed, self._params[gain]), self._params[bias])
+    def _ln(self, x: Tensor, prefix: str) -> Tensor:
+        return ad.layer_norm_affine(x, self._params[prefix + "_gain"],
+                                    self._params[prefix + "_bias"])
 
-    def _split_heads(self, x: Tensor) -> Tensor:
-        b, s, d = x.shape
-        h = self.config.n_heads
-        return ad.transpose(ad.reshape(x, (b, s, h, d // h)), (0, 2, 1, 3))
-
-    def _merge_heads(self, x: Tensor) -> Tensor:
-        b, h, s, dk = x.shape
-        return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (b, s, h * dk))
+    def _linear(self, x: Tensor, weight: str, bias: str) -> Tensor:
+        return ad.linear(x, self._params[weight], self._params[bias])
 
     def _block(self, x: Tensor, i: int, mask) -> Tensor:
         p = f"layer{i}."
-        cfg = self.config
-        normed = self._ln(x, p + "ln1_gain", p + "ln1_bias")
-        q = self._split_heads(ad.matmul(normed, self._params[p + "wq"]))
-        k = self._split_heads(ad.matmul(normed, self._params[p + "wk"]))
-        v = self._split_heads(ad.matmul(normed, self._params[p + "wv"]))
-        scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
-        scores = ad.smul(ad.matmul(q, ad.transpose(k)), scale)
-        if mask is not None:
-            key_pad = (np.asarray(mask) == 0.0)[:, None, None, :]
-            scores = ad.masked_fill(scores, key_pad, MASK_FILL)
-        ctx = self._merge_heads(ad.matmul(ad.softmax(scores), v))
-        attn_out = ad.add(ad.matmul(ctx, self._params[p + "wo"]), self._params[p + "bo"])
-        x = ad.add(x, attn_out)
-        normed = self._ln(x, p + "ln2_gain", p + "ln2_bias")
-        hidden = ad.gelu(ad.add(ad.matmul(normed, self._params[p + "w_ff1"]),
-                                self._params[p + "b_ff1"]))
-        ff_out = ad.add(ad.matmul(hidden, self._params[p + "w_ff2"]),
-                        self._params[p + "b_ff2"])
-        return ad.add(x, ff_out)
+        key_pad = None if mask is None else np.asarray(mask) == 0.0
+        attended = ad.attention(
+            self._ln(x, p + "ln1"),
+            *(self._params[p + name] for name in ("wq", "wk", "wv", "wo", "bo")),
+            n_heads=self.config.n_heads, key_pad=key_pad,
+        )
+        x = ad.add(x, attended)
+        hidden = ad.gelu(self._linear(self._ln(x, p + "ln2"), p + "w_ff1", p + "b_ff1"))
+        return ad.add(x, self._linear(hidden, p + "w_ff2", p + "b_ff2"))
 
     def forward_layers(self, h: Tensor, from_layer: int, to_layer: int, mask) -> Tensor:
         """Apply layers from_layer+1 .. to_layer; equal bounds is the identity."""
@@ -182,12 +166,12 @@ class EncoderModel:
         return h
 
     def _final_norm(self, h: Tensor) -> Tensor:
-        return self._ln(h, "final_ln_gain", "final_ln_bias")
+        return self._ln(h, "final_ln")
 
     def pooled(self, h_last: Tensor) -> Tensor:
         """First-position vector after the final layer norm (CLS-style)."""
         normed = self._final_norm(h_last)
-        return ad.gather(ad.transpose(normed, (1, 0, 2)), 0)
+        return ad.gather(normed, 0, axis=1)
 
     def classify(self, h_last: Tensor, mask=None) -> Tensor:
         """Class logits from the pooled vector: affine -> Tanh -> affine.
@@ -195,10 +179,8 @@ class EncoderModel:
         ``mask`` is accepted for interface symmetry; first-position pooling
         does not consult it.
         """
-        pooled = self.pooled(h_last)
-        hidden = ad.tanh(ad.add(ad.matmul(pooled, self._params["cls_w1"]),
-                                self._params["cls_b1"]))
-        return ad.add(ad.matmul(hidden, self._params["cls_w2"]), self._params["cls_b2"])
+        hidden = ad.tanh(self._linear(self.pooled(h_last), "cls_w1", "cls_b1"))
+        return self._linear(hidden, "cls_w2", "cls_b2")
 
     def span_logits(self, h_last: Tensor, mask) -> tuple[Tensor, Tensor]:
         """Per-position start and end logits; pad positions forced to -1e9."""
@@ -209,12 +191,8 @@ class EncoderModel:
         pad = np.asarray(mask) == 0.0
 
         def head(prefix):
-            logits = ad.reshape(
-                ad.add(ad.matmul(normed, self._params[prefix + "_w"]),
-                       self._params[prefix + "_b"]),
-                (b, s),
-            )
-            return ad.masked_fill(logits, pad, MASK_FILL)
+            logits = self._linear(normed, prefix + "_w", prefix + "_b")
+            return ad.masked_fill(ad.reshape(logits, (b, s)), pad, MASK_FILL)
 
         return head("span_start"), head("span_end")
 
@@ -237,6 +215,5 @@ class EncoderModel:
             names = {n[2:] for n in archive.files if n.startswith("p/")}
             if names != set(model._params):
                 raise ValueError("checkpoint parameter names do not match config")
-            for name in names:
-                model._params[name].data = archive["p/" + name].astype(np.float64)
+            model.load_snapshot({name: archive["p/" + name] for name in names})
         return model

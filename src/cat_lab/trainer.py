@@ -27,10 +27,11 @@ import numpy as np
 
 from cat_lab import autodiff as ad
 from cat_lab.adversarial import AdversarialConfig, optimize_lambda
-from cat_lab.autodiff import GradientMap, Tape, Tensor, backward
+from cat_lab.autodiff import GradientMap, ParameterBuffer, Tape, Tensor, backward
 from cat_lab.datagen import CLASSIFICATION, SPAN, Dataset
 from cat_lab.encoder import EncoderModel, ModelConfig
 from cat_lab.mixing import (
+    LAST_LAYER,
     MASK_STRATEGIES,
     NON_ANSWER_CONTEXT,
     POSITION_STRATEGIES,
@@ -156,40 +157,47 @@ def resolve_schedule(config: TrainConfig, n_train: int) -> tuple[int, int]:
 
 
 class Adam:
-    """Adaptive-moment optimizer with global-norm clipping.
+    """Adaptive-moment optimizer with global-norm clipping over a parameter buffer.
 
-    A non-finite gradient norm raises ``DivergenceError`` before any
-    parameter or moment changes.
+    The two moments are flat vectors laid out like ``params.flat``; a step
+    concatenates the gradients once and updates ``params.flat`` in place.  A
+    parameter without a gradient contributes zeros, so one that never had a
+    gradient keeps m = v = 0 and an update of exactly 0.  A non-finite
+    gradient norm raises ``DivergenceError``, and a parameter whose ``.data``
+    no longer views the buffer raises ``ValueError``, before any parameter
+    or moment changes.
     """
 
-    def __init__(self, params: dict[str, Tensor], beta1=0.9, beta2=0.999, eps=1e-8,
+    def __init__(self, params: ParameterBuffer, beta1=0.9, beta2=0.999, eps=1e-8,
                  grad_clip: float | None = None):
         self.params = params
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.grad_clip = grad_clip
         self.t = 0
-        self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self._m = np.zeros_like(params.flat)
+        self._v = np.zeros_like(params.flat)
 
     def step(self, grads: GradientMap, lr: float) -> None:
-        live = [(name, p, grads.get(p)) for name, p in self.params.items()]
-        live = [(name, p, g.data) for name, p, g in live if g is not None]
-        norm = np.sqrt(sum(float(np.sum(g * g)) for _, _, g in live))
+        self.params.check_views()
+        parts = []
+        for p in self.params.tensors.values():
+            g = grads.get(p)
+            parts.append(np.zeros(p.size) if g is None else g.data.reshape(-1))
+        flat = np.concatenate(parts)
+        norm = np.sqrt(np.sum(flat * flat))
         if not np.isfinite(norm):
             raise DivergenceError(f"gradient norm is {norm} at update {self.t + 1}")
         self.t += 1
-        scale = 1.0
         if self.grad_clip is not None and norm > self.grad_clip:
-            scale = self.grad_clip / norm
+            flat *= self.grad_clip / norm
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1 - self.beta1) * flat
+        v *= self.beta2
+        v += (1 - self.beta2) * flat * flat
         correct1 = 1.0 - self.beta1**self.t
         correct2 = 1.0 - self.beta2**self.t
-        for name, p, gd in live:
-            if scale != 1.0:
-                gd = gd * scale
-            m = self._m[name] = self.beta1 * self._m[name] + (1 - self.beta1) * gd
-            v = self._v[name] = self.beta2 * self._v[name] + (1 - self.beta2) * gd * gd
-            update = (m / correct1) / (np.sqrt(v / correct2) + self.eps)
-            p.data = p.data - lr * update
+        self.params.flat -= lr * ((m / correct1) / (np.sqrt(v / correct2) + self.eps))
 
 
 class Trainer:
@@ -207,11 +215,16 @@ class Trainer:
                 raise ValueError(
                     f"candidate layer {q} outside valid range [1, {n_layers}]"
                 )
+            if config.mask_strategy == LAST_LAYER and q != n_layers:
+                raise ValueError(
+                    f"mask strategy {LAST_LAYER!r} blends after the last layer, so "
+                    f"every candidate layer must be {n_layers}, got {q}"
+                )
         self.model = model
         self.config = config
         self.task = task
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
-        self.adam = Adam(model.parameters(), config.adam_beta1, config.adam_beta2,
+        self.adam = Adam(model.buffer, config.adam_beta1, config.adam_beta2,
                          config.adam_eps, grad_clip=config.grad_clip)
         # the no-inner-steps ablation reuses the full pipeline with zero ascent
         self.adv_config = (replace(config.adversarial, steps=0)
@@ -363,7 +376,7 @@ class Trainer:
                            self._make_predict(m, cf_mask, mask[rows])))
 
         # inner adversarial loop on detached states; parameters must not move
-        before = model.snapshot() if cfg.track_param_freeze else None
+        before = model.buffer.flat.copy() if cfg.track_param_freeze else None
         lam = plan.lam.copy()
         for m, rows, partners, sub_pm, predict in groups:
             h_i = Tensor(h_stage[m].data[rows])
@@ -380,10 +393,7 @@ class Trainer:
 
         cal_param_delta = None
         if cfg.track_param_freeze:
-            cal_param_delta = float(sum(
-                np.abs(model.parameters()[k].data - v).sum()
-                for k, v in before.items()
-            ))
+            cal_param_delta = float(np.abs(model.buffer.flat - before).sum())
 
         # counterfactual predictions at the final coefficients, spliced onto
         # the original tape so attached weights stay differentiable

@@ -146,6 +146,7 @@ def test_train_rejects_unknown_config_field(dataset_dir, tmp_path):
     ("train.span_mix_strategy=bogus", "span mix strategy"),
     ("model.dropout=0.5", "dropout"),
     ("train.adversarial.norm_order=2", "norm_order"),
+    ("train.mask_strategy=last_layer", "last_layer"),
 ])
 def test_train_rejects_bad_field_before_training(dataset_dir, tmp_path, capsys,
                                                  assignment, field):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cat_lab import autodiff as ad
-from cat_lab.autodiff import Tape, Tensor, backward
+from cat_lab.autodiff import MASK_FILL, Tape, Tensor, backward
 from cat_lab.encoder import EncoderModel, ModelConfig
 
 
@@ -199,3 +199,99 @@ def test_parameter_count_is_function_of_config():
     assert set(a.parameters()) == set(b.parameters())
     assert all(a.parameters()[k].shape == b.parameters()[k].shape
                for k in a.parameters())
+
+
+def _unfused_forward(model, h, mask):
+    """The encoder and both heads as chains of the small primitives."""
+    params, cfg = model.parameters(), model.config
+    b, s, d = h.shape
+    heads = cfg.n_heads
+    pad = np.asarray(mask) == 0.0
+
+    def ln(x, prefix):
+        return ad.add(ad.mul(ad.layer_norm(x), params[prefix + "_gain"]),
+                      params[prefix + "_bias"])
+
+    def affine(x, w, bias):
+        return ad.add(ad.matmul(x, params[w]), params[bias])
+
+    def split(x):
+        return ad.transpose(ad.reshape(x, (b, s, heads, d // heads)), (0, 2, 1, 3))
+
+    for i in range(cfg.n_layers):
+        p = f"layer{i}."
+        normed = ln(h, p + "ln1")
+        q, k, v = (split(ad.matmul(normed, params[p + w])) for w in ("wq", "wk", "wv"))
+        scores = ad.smul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d // heads))
+        scores = ad.masked_fill(scores, pad[:, None, None, :], MASK_FILL)
+        ctx = ad.transpose(ad.matmul(ad.softmax(scores), v), (0, 2, 1, 3))
+        h = ad.add(h, affine(ad.reshape(ctx, (b, s, d)), p + "wo", p + "bo"))
+        hidden = ad.gelu(affine(ln(h, p + "ln2"), p + "w_ff1", p + "b_ff1"))
+        h = ad.add(h, affine(hidden, p + "w_ff2", p + "b_ff2"))
+    normed = ln(h, "final_ln")
+    pooled = ad.gather(ad.transpose(normed, (1, 0, 2)), 0)
+    logits = affine(ad.tanh(affine(pooled, "cls_w1", "cls_b1")), "cls_w2", "cls_b2")
+    spans = [ad.masked_fill(ad.reshape(affine(normed, f"span_{e}_w", f"span_{e}_b"),
+                                       (b, s)), pad, MASK_FILL)
+             for e in ("start", "end")]
+    return logits, *spans
+
+
+def _fused_forward(model, h, mask):
+    h_last = model.forward_layers(h, 0, model.config.n_layers, mask)
+    return model.classify(h_last, mask), *model.span_logits(h_last, mask)
+
+
+def _loss_and_grads(forward, model, h0, mask, rng_seed):
+    # fixed random projections make every output position matter; pad
+    # positions of the span logits hold MASK_FILL and are left out
+    rng = np.random.default_rng(rng_seed)
+    keep = np.asarray(mask) == 1.0
+    with Tape():
+        x = Tensor(h0, requires_grad=True)
+        outputs = forward(model, x, mask)
+        terms = [ad.reduce_sum(ad.mul(outputs[0], Tensor(rng.normal(size=outputs[0].shape))))]
+        for span in outputs[1:]:
+            weight = np.where(keep, rng.normal(size=span.shape), 0.0)
+            terms.append(ad.reduce_sum(ad.mul(ad.masked_fill(span, ~keep, 0.0),
+                                              Tensor(weight))))
+        loss = ad.add(ad.add(terms[0], terms[1]), terms[2])
+        grads = backward(loss)
+    named = {"x": grads[x].data}
+    named.update({k: grads[p].data for k, p in model.parameters().items() if p in grads})
+    return [o.data for o in outputs], named
+
+
+def test_fused_forward_matches_unfused_chain(model):
+    rng = np.random.default_rng(11)
+    tokens = _tokens(rng, 3, 10, model.config.vocab_size, pad_tail=3)
+    tokens[1, 2:] = 0  # one sequence mostly padding
+    params = model.parameters()
+    weight = Tensor(rng.normal(size=(3, 10, model.config.d_model)))
+    embedded = []
+    for fused in (True, False):
+        with Tape():
+            if fused:
+                h0, mask = model.embed(tokens)
+            else:
+                h0 = ad.add(ad.gather(params["tok_emb"], tokens),
+                            ad.gather(params["pos_emb"], np.arange(10)))
+            grads = backward(ad.reduce_sum(ad.mul(h0, weight)))
+        embedded.append([h0.data] + [grads[params[k]].data for k in ("tok_emb", "pos_emb")])
+    for a, b in zip(*embedded):
+        np.testing.assert_allclose(a, b, atol=1e-12, rtol=0)
+
+    for frozen in (False, True):
+        # frozen: parameters need no gradient, as in the coefficient ascent
+        for p in model.parameters().values():
+            p.requires_grad = not frozen
+        out_f, grads_f = _loss_and_grads(_fused_forward, model, h0.data, mask, 5)
+        out_u, grads_u = _loss_and_grads(_unfused_forward, model, h0.data, mask, 5)
+        for a, b in zip(out_f, out_u):
+            np.testing.assert_allclose(a, b, atol=1e-12, rtol=0)
+        assert set(grads_f) == set(grads_u)
+        # every parameter after the embedding tables, or none when frozen
+        assert len(grads_f) == (1 if frozen else len(model.parameters()) - 1)
+        for name in grads_u:
+            np.testing.assert_allclose(grads_f[name], grads_u[name], atol=1e-12, rtol=0,
+                                       err_msg=f"frozen={frozen}: {name}")

@@ -1,9 +1,14 @@
 """Step mechanics, degenerations, determinism, and evaluation metrics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cat_lab import trainer as trainer_module
 from cat_lab.adversarial import AdversarialConfig
+from cat_lab.autodiff import ParameterBuffer, Tape, Tensor
+from cat_lab.cli import preset_model_config, preset_train_config
 from cat_lab.datagen import SCMSpec, generate_classification, generate_span_task
 from cat_lab.encoder import EncoderModel, ModelConfig
 from cat_lab.mixing import BetaParams
@@ -55,6 +60,11 @@ def test_config_validation():
         TrainConfig(mask_strategy="bogus")
     with pytest.raises(ValueError, match="span mix strategy"):
         TrainConfig(span_mix_strategy="bogus")
+    # last-layer masking blends after the final layer, so a lower candidate
+    # layer would fail only at the first cat step, after the warm-up
+    with pytest.raises(ValueError, match="last_layer"):
+        make_trainer(small_config(mask_strategy="last_layer", candidate_layers=(1, 2)))
+    make_trainer(small_config(mask_strategy="last_layer", candidate_layers=(2,)))
 
 
 def test_schedule_resolution():
@@ -193,7 +203,7 @@ def test_divergence_guard_raises_with_last_good(class_data):
     train_set, _, _ = class_data
     trainer = make_trainer(small_config(max_steps=4))
     params = trainer.model.parameters()
-    params["cls_w2"].data = np.full_like(params["cls_w2"].data, np.inf)
+    params["cls_w2"].data[...] = np.inf
     with pytest.raises(DivergenceError) as info:
         trainer.train(train_set)
     assert info.value.last_good is not None
@@ -205,7 +215,7 @@ def test_zero_counterfactual_confidence_is_divergence(class_data):
     cfg = small_config(risk=RiskConfig(estimator="true_label_prob"),
                        warmup_steps=0, max_steps=4)
     trainer = make_trainer(cfg)
-    trainer.model.parameters()["cls_b2"].data = np.array([0.0, -1e4, 0.0])
+    trainer.model.parameters()["cls_b2"].data[...] = [0.0, -1e4, 0.0]
     with pytest.raises(DivergenceError, match="confidence") as info:
         trainer.train(train_set)
     assert info.value.last_good is not None
@@ -248,10 +258,9 @@ def test_span_task_requires_span_head(class_data):
 
 
 def test_adam_single_step_matches_hand_computation():
-    from cat_lab.autodiff import GradientMap, Tensor
-
-    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    adam = Adam({"p": p}, beta1=0.9, beta2=0.999, eps=1e-8, grad_clip=None)
+    params = ParameterBuffer({"p": np.array([1.0, -2.0])})
+    p = params.tensors["p"]
+    adam = Adam(params, beta1=0.9, beta2=0.999, eps=1e-8, grad_clip=None)
 
     class FakeGrads:
         def get(self, key):
@@ -266,12 +275,11 @@ def test_adam_single_step_matches_hand_computation():
 
 
 def test_adam_grad_clip_rescales():
-    from cat_lab.autodiff import Tensor
-
     updates = {}
     for clip in (None, 1e-3):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        adam = Adam({"p": p}, grad_clip=clip)
+        params = ParameterBuffer({"p": np.array([1.0])})
+        p = params.tensors["p"]
+        adam = Adam(params, grad_clip=clip)
 
         class FakeGrads:
             def get(self, key):
@@ -284,11 +292,9 @@ def test_adam_grad_clip_rescales():
 
 @pytest.mark.parametrize("clip", [None, 1.0])
 def test_adam_refuses_non_finite_gradient(clip):
-    from cat_lab.autodiff import Tensor
-
-    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    q = Tensor(np.array([3.0]), requires_grad=True)
-    adam = Adam({"p": p, "q": q}, grad_clip=clip)
+    params = ParameterBuffer({"p": np.array([1.0, -2.0]), "q": np.array([3.0])})
+    p, q = params.tensors["p"], params.tensors["q"]
+    adam = Adam(params, grad_clip=clip)
     grads = {id(p): Tensor(np.array([0.5, np.nan])), id(q): Tensor(np.array([1.0]))}
 
     class FakeGrads:
@@ -300,7 +306,59 @@ def test_adam_refuses_non_finite_gradient(clip):
     np.testing.assert_array_equal(p.data, [1.0, -2.0])
     np.testing.assert_array_equal(q.data, [3.0])
     assert adam.t == 0
-    assert all(not np.any(m) for m in adam._m.values())
+    assert not np.any(adam._m)
+
+
+def test_parameters_stay_views_of_one_buffer(class_data):
+    train_set, _, _ = class_data
+    # the span head gets no gradient from classification training
+    model_config = replace(SMALL_MODEL, use_span_head=True)
+    trainer = make_trainer(small_config(warmup_steps=1, max_steps=3),
+                           model_config=model_config)
+    model = trainer.model
+    initial = {k: v.copy() for k, v in model.snapshot().items()}
+    trainer.train(train_set)
+    snap = model.snapshot()
+    kept = {k: v.copy() for k, v in snap.items()}
+
+    trainer.config = replace(trainer.config, max_steps=5)
+    trainer.train(train_set)
+    for name, array in snap.items():
+        np.testing.assert_array_equal(array, kept[name], err_msg=name)
+    assert not np.array_equal(model.parameters()["cls_w2"].data, kept["cls_w2"])
+    for name in ("span_start_w", "span_start_b", "span_end_w", "span_end_b"):
+        np.testing.assert_array_equal(model.parameters()[name].data, initial[name])
+
+    model.load_snapshot(snap)
+    for name, p in model.parameters().items():
+        assert np.shares_memory(p.data, model.buffer.flat), name
+        np.testing.assert_array_equal(p.data, kept[name], err_msg=name)
+
+    # rebinding detaches a parameter from the buffer; the optimizer refuses it
+    params = model.parameters()
+    params["cls_w2"].data = params["cls_w2"].data.copy()
+    with pytest.raises(ValueError, match="cls_w2"):
+        trainer.erm_step(train_set, np.arange(8), phase="erm")
+
+
+def test_erm_step_tape_is_fused(monkeypatch):
+    # chains of small primitives record 205 nodes for this step; the fused
+    # engine must stay at or below half of that (it records 102)
+    tapes = []
+
+    class CountingTape(Tape):
+        def __exit__(self, *exc):
+            super().__exit__(*exc)
+            tapes.append(len(self))
+
+    monkeypatch.setattr(trainer_module, "Tape", CountingTape)
+    trainer = seeded_trainer(preset_model_config("classification"),
+                             preset_train_config("erm", "classification"),
+                             "classification")
+    train_set, _, _ = generate_classification(SCMSpec(seed=1), 16, 4)
+    trainer.erm_step(train_set, np.arange(8), phase="erm")
+    assert len(tapes) == 1
+    assert tapes[0] <= 205 // 2
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -352,8 +410,6 @@ def test_evaluate_oracle_span_model_scores_perfectly():
             return None
 
         def span_logits(self, h, mask):
-            from cat_lab.autodiff import Tensor
-
             n, s = self._tokens.shape
             start = np.zeros((n, s))
             end = np.zeros((n, s))
