@@ -4,10 +4,10 @@
 ``write OUT.json`` trains every preset (erm, cat-star, cat) on the default
 classification and span presets, plus the cat preset with each non-default
 code path of the counterfactual step switched on (cross-batch partners,
-per-sample blend layers, the combined update, attached weights, the
-true-label estimator).  Data, model and trainer seeds are fixed, so the file
-is a pure function of the code: 10 warm-up steps, 40 preset steps, and an
-evaluation at steps 25 and 50 on a small iid and ood split.
+per-sample blend layers, the combined update, the true-label estimator).
+Data, model and trainer seeds are fixed, so the file is a pure function of
+the code: 10 warm-up steps, 40 preset steps, and an evaluation at steps 25
+and 50 on a small iid and ood split.
 
 ``compare A.json B.json`` prints, for each run and column, the largest
 absolute difference between the two files' histories, and exits 1 when any
@@ -41,7 +41,6 @@ def runs():
         "cross_batch": lambda c: replace(c, cross_batch_partners=True),
         "per_sample_layer": lambda c: replace(c, per_sample_layer=True),
         "combined": lambda c: replace(c, update_mode=COMBINED),
-        "attached_weights": lambda c: replace(c, risk=replace(c.risk, detach_weights=False)),
         "true_label": lambda c: replace(c, risk=replace(c.risk, estimator=TRUE_LABEL_PROB)),
     }
     for task in ("classification", "span"):

@@ -188,9 +188,10 @@ class _Node:
 class Tape:
     """Ordered record of primitive applications for one backward pass.
 
-    A tape and the tensors recorded on it belong to a single thread.  The
-    same tape object may be re-entered to append further nodes (the trainer
-    does this to splice weight constants into an existing graph).
+    A tape and the tensors recorded on it belong to a single thread.  Each
+    update opens one tape, records its forward and loss, runs ``backward``
+    inside it and closes it; nothing re-enters a closed tape.  Tapes nest:
+    an inner one (the adversarial loop's) records while it is innermost.
     """
 
     def __init__(self):

@@ -160,6 +160,14 @@ def _apply_dotted(config_dict: dict, dotted: str, raw_value: str) -> None:
     node[leaf] = value
 
 
+def _input_file(path: str, what: str) -> Path:
+    """``path`` as a Path; a ConfigError naming it unless it is a file."""
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError(f"{what} {p} does not exist or is not a file")
+    return p
+
+
 def _parse_seeds(value, base_seed: int) -> list[int]:
     if isinstance(value, int):
         return [base_seed + i for i in range(value)]
@@ -403,13 +411,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    checkpoint = Path(args.checkpoint)
-    if not checkpoint.exists():
-        raise ConfigError(f"checkpoint {checkpoint} does not exist")
-    model = EncoderModel.load(checkpoint)
-    dataset = load_jsonl(Path(args.data))
-    task = args.task or dataset.task
-    report = evaluate(model, dataset, task)
+    model = EncoderModel.load(_input_file(args.checkpoint, "checkpoint"))
+    dataset = load_jsonl(_input_file(args.data, "dataset"))
+    report = evaluate(model, dataset, dataset.task)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -423,8 +427,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_dump_reprs(args) -> int:
-    model = EncoderModel.load(Path(args.checkpoint))
-    dataset = load_jsonl(Path(args.data))
+    model = EncoderModel.load(_input_file(args.checkpoint, "checkpoint"))
+    dataset = load_jsonl(_input_file(args.data, "dataset"))
     n_layers = model.config.n_layers
     layer = args.layer
     if not 1 <= layer <= n_layers:
@@ -562,7 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="dataset jsonl file")
-    p.add_argument("--task", choices=(CLASSIFICATION, SPAN))
     p.add_argument("--out", help="optional JSON output path")
     p.set_defaults(fn=cmd_eval)
 

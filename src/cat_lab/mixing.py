@@ -103,12 +103,7 @@ class MixPlan:
     partner: np.ndarray            # (B,) int, index into the batch
     lam: np.ndarray                # (B,) float in [0, 1]
     mix_layers: np.ndarray         # (B,) int; constant unless per-sample sampling
-    mask_strategy: str = USE_I
     position_mask: np.ndarray | None = None  # (B, S) bool; True = blend here
-
-    def __post_init__(self):
-        if self.mask_strategy not in MASK_STRATEGIES:
-            raise ValueError(f"unknown mask strategy {self.mask_strategy!r}")
 
     @property
     def batch_size(self) -> int:
@@ -117,7 +112,6 @@ class MixPlan:
 
 def build_mix_plan(batch_size: int, candidate_layers, params: BetaParams,
                    rng: np.random.Generator, *, per_sample_layer: bool = False,
-                   mask_strategy: str = USE_I,
                    position_mask: np.ndarray | None = None) -> MixPlan:
     """Shuffle-pair the batch, draw fresh coefficients, and pick blend layers.
 
@@ -136,7 +130,7 @@ def build_mix_plan(batch_size: int, candidate_layers, params: BetaParams,
     else:
         mix_layers = np.full(batch_size, layers[rng.integers(0, layers.size)])
     return MixPlan(partner=partner, lam=lam, mix_layers=mix_layers,
-                   mask_strategy=mask_strategy, position_mask=position_mask)
+                   position_mask=position_mask)
 
 
 def interpolate(h_i, h_j, lam, position_mask: np.ndarray | None = None) -> Tensor:

@@ -4,9 +4,9 @@ The counterfactual-weighted loss reweights each sample's cross-entropy by a
 bounded ratio of prediction confidences: confidence on the original hidden
 state over confidence on its counterfactual.  Samples whose counterfactual
 collapses the model's confidence get upweighted (up to the bound), samples
-whose predictions are robust to interpolation keep weight ~1.  By default
-the ratio is detached: it acts as an importance-sampling coefficient, not a
-differentiated quantity.
+whose predictions are robust to interpolation keep weight ~1.  The ratio
+is always detached: it acts as an importance-sampling coefficient, as in
+counterfactual risk minimization, not as a differentiated quantity.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class ZeroConfidenceError(ValueError):
 
 @dataclass
 class RiskConfig:
-    """Weight bounds [lower, upper] and ratio behavior.
+    """Weight bounds [lower, upper] and the confidence estimator.
 
     lower = 0 is allowed (and is the classification default) but leaves the
     weights free to vanish; span training is more stable with a positive
@@ -39,7 +39,6 @@ class RiskConfig:
 
     lower: float = 0.0
     upper: float = 10.0
-    detach_weights: bool = True
     estimator: str = MAX_PROB
 
     def __post_init__(self):
@@ -138,7 +137,8 @@ def importance_ratio(probs_original, probs_counterfactual, config: RiskConfig,
                      labels=None) -> Tensor:
     """Unbounded per-sample ratio of original to counterfactual confidence.
 
-    The denominator is floored at 1e-12 so a collapsed counterfactual cannot
+    The ratio is a constant, detached from any tape its inputs are on.  The
+    denominator is floored at 1e-12 so a collapsed counterfactual cannot
     produce infinities before bounding; an exactly zero confidence is not a
     distribution and raises ``ZeroConfidenceError``.
     """
@@ -149,10 +149,7 @@ def importance_ratio(probs_original, probs_counterfactual, config: RiskConfig,
             "importance ratio: counterfactual confidence is zero; "
             "predictions are not a probability distribution"
         )
-    ratio = ad.div(num, ad.clamp(den, _DENOM_FLOOR, None))
-    if config.detach_weights:
-        ratio = ratio.detach()
-    return ratio
+    return ad.div(num, ad.clamp(den, _DENOM_FLOOR, None)).detach()
 
 
 def bound_weights(omega, config: RiskConfig) -> Tensor:

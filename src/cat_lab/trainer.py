@@ -7,8 +7,9 @@ counterfactual step
   1. forwards the batch, caching hidden states at the blend layer;
   2. builds an interpolation plan and optimizes its coefficients
      adversarially (model parameters frozen, coefficients only);
-  3. recomputes counterfactual predictions at the final coefficients and
-     turns original/counterfactual confidence ratios into bounded weights;
+  3. predicts on the counterfactuals at the final coefficients and turns
+     original/counterfactual confidence ratios into bounded weights, which
+     are constants: only the original forward and the losses are recorded;
   4. takes a weighted-risk update, then a plain empirical-risk update
      (sequential mode), or a single update on their sum (combined mode).
 
@@ -71,11 +72,12 @@ METRIC_COLUMNS = (
 
 @contextmanager
 def frozen_parameters(model: EncoderModel):
-    """Stop gradient flow into the model inside the adversarial inner loop.
+    """Stop gradient flow into the model on the counterfactual side of a step.
 
-    The loop differentiates with respect to the blend coefficients only, so
-    recording parameter parents there is pure waste (their gradients would
-    be discarded).
+    The cross-batch partner forward, the adversarial inner loop and the
+    final counterfactual prediction feed only constant weights and the
+    coefficient gradients, so on detached states nothing inside records a
+    parameter parent (whose gradient would be discarded).
     """
     params = list(model.parameters().values())
     for p in params:
@@ -127,7 +129,6 @@ class TrainConfig:
     seed: int = 0
     eval_interval: int = 0            # 0 = evaluate only at the end
     eval_batch_size: int = 256
-    track_param_freeze: bool = True
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -258,10 +259,14 @@ class Trainer:
             return self.model.span_logits(h_last, mask)
         return self.model.classify(h_last, mask)
 
-    def _probs(self, outputs):
-        if self.task == SPAN:
-            return ad.softmax(outputs[0]), ad.softmax(outputs[1])
-        return ad.softmax(outputs)
+    def _heads(self, outputs) -> tuple:
+        """Head outputs as a tuple: (start, end) logits, or (class logits,)."""
+        return outputs if self.task == SPAN else (outputs,)
+
+    def _probs(self, heads):
+        """Softmax of each head's logits, off the tape: the weights are constants."""
+        probs = tuple(ad.softmax(ad.detach(h)) for h in heads)
+        return probs if self.task == SPAN else probs[0]
 
     def _position_mask(self, dataset: Dataset, idx: np.ndarray):
         if self.task != SPAN:
@@ -296,17 +301,21 @@ class Trainer:
             raise DivergenceError(f"{name} became non-finite at step {self.step_count}")
         return value
 
-    def erm_step(self, dataset: Dataset, idx: np.ndarray, phase: str,
-                 lr: float | None = None) -> dict:
-        tokens = dataset.tokens[idx]
-        labels = self._labels(dataset, idx)
+    def _erm_update(self, tokens: np.ndarray, labels, rate: float) -> float:
+        """Forward, empirical loss, backward and one Adam update; the loss."""
         with Tape():
             h0, mask = self.model.embed(tokens)
             h = self.model.forward_layers(h0, 0, self.model.config.n_layers, mask)
             loss = erm_loss(self._head(h, mask), labels)
             grads = backward(loss)
         value = self._check_finite("erm loss", loss.item())
-        self.adam.step(grads, self._lr(self.config.base_lr if lr is None else lr))
+        self.adam.step(grads, self._lr(rate))
+        return value
+
+    def erm_step(self, dataset: Dataset, idx: np.ndarray, phase: str,
+                 lr: float | None = None) -> dict:
+        value = self._erm_update(dataset.tokens[idx], self._labels(dataset, idx),
+                                 self.config.base_lr if lr is None else lr)
         self.step_count += 1
         return {
             "step": self.step_count,
@@ -338,83 +347,61 @@ class Trainer:
 
         plan = build_mix_plan(
             idx.size, cfg.candidate_layers, cfg.beta, self.rng,
-            per_sample_layer=cfg.per_sample_layer,
-            mask_strategy=cfg.mask_strategy, position_mask=position_mask,
+            per_sample_layer=cfg.per_sample_layer, position_mask=position_mask,
         )
         blend_layers = sorted(set(plan.mix_layers.tolist()))
 
-        # original forward, caching states at every blend layer
-        tape = Tape()
-        with tape:
+        with Tape():
+            # original forward, caching states at every blend layer
             h_stage, mask = self._staged_forward(tokens, blend_layers)
             last = blend_layers[-1]
             h_last = model.forward_layers(h_stage[last], last, n_layers, mask)
             outputs = self._head(h_last, mask)
 
-        # sample i blends with row partner_rows[i] of the partner states
-        if cfg.cross_batch_partners:
-            partner_idx = self.rng.integers(0, len(dataset), size=idx.size)
-            with tape:
-                partner_stage, partner_mask = self._staged_forward(
-                    dataset.tokens[partner_idx], blend_layers
-                )
-            partner_rows = np.arange(idx.size)
-        else:
-            partner_stage, partner_mask, partner_rows = h_stage, mask, plan.partner
-
-        # one group per blend layer: the rows blending there, their partners'
-        # rows, their position mask and the forward from the blend on
-        groups = []
-        for m in blend_layers:
-            rows = np.flatnonzero(plan.mix_layers == m)
-            partners = partner_rows[rows]
-            cf_mask = resolve_attention_mask(
-                cfg.mask_strategy, mask[rows], partner_mask[partners], m, n_layers
-            )
-            sub_pm = None if position_mask is None else position_mask[rows]
-            groups.append((m, rows, partners, sub_pm,
-                           self._make_predict(m, cf_mask, mask[rows])))
-
-        # inner adversarial loop on detached states; parameters must not move
-        before = model.buffer.flat.copy() if cfg.track_param_freeze else None
-        lam = plan.lam.copy()
-        for m, rows, partners, sub_pm, predict in groups:
-            h_i = Tensor(h_stage[m].data[rows])
-            h_j = Tensor(partner_stage[m].data[partners])
-            sub_labels = (tuple(l[rows] for l in labels) if self.task == SPAN
-                          else labels[rows])
-            sub_plan = replace(plan, partner=plan.partner[rows], lam=lam[rows],
-                               mix_layers=plan.mix_layers[rows], position_mask=sub_pm)
+            # counterfactual side on detached states: records nothing, and the
+            # parameters must not move
+            before = model.buffer.flat.copy()
+            lam = plan.lam.copy()
+            cf_heads = [np.empty(o.shape) for o in self._heads(outputs)]
             with frozen_parameters(model):
-                optimized = optimize_lambda(
-                    sub_plan, h_i, h_j, sub_labels, predict, self.adv_config, sub_pm
-                )
-            lam[rows] = optimized.lam
+                # sample i blends with row partner_rows[i] of the partner states
+                if cfg.cross_batch_partners:
+                    partner_idx = self.rng.integers(0, len(dataset), size=idx.size)
+                    partner_stage, partner_mask = self._staged_forward(
+                        dataset.tokens[partner_idx], blend_layers
+                    )
+                    partner_rows = np.arange(idx.size)
+                else:
+                    partner_stage, partner_mask, partner_rows = h_stage, mask, plan.partner
 
-        cal_param_delta = None
-        if cfg.track_param_freeze:
+                # per blend layer: ascend λ for the rows blending there, then
+                # predict at the final λ
+                for m in blend_layers:
+                    rows = np.flatnonzero(plan.mix_layers == m)
+                    partners = partner_rows[rows]
+                    h_i = Tensor(h_stage[m].data[rows])
+                    h_j = Tensor(partner_stage[m].data[partners])
+                    sub_labels = (tuple(l[rows] for l in labels) if self.task == SPAN
+                                  else labels[rows])
+                    sub_pm = None if position_mask is None else position_mask[rows]
+                    cf_mask = resolve_attention_mask(
+                        cfg.mask_strategy, mask[rows], partner_mask[partners], m, n_layers
+                    )
+                    predict = self._make_predict(m, cf_mask, mask[rows])
+                    sub_plan = replace(plan, partner=plan.partner[rows], lam=lam[rows],
+                                       mix_layers=plan.mix_layers[rows],
+                                       position_mask=sub_pm)
+                    lam[rows] = optimize_lambda(
+                        sub_plan, h_i, h_j, sub_labels, predict, self.adv_config, sub_pm
+                    ).lam
+                    cf = predict(interpolate(h_i, h_j, lam[rows], sub_pm))
+                    for full, part in zip(cf_heads, self._heads(cf)):
+                        full[rows] = part.data
             cal_param_delta = float(np.abs(model.buffer.flat - before).sum())
-
-        # counterfactual predictions at the final coefficients, spliced onto
-        # the original tape so attached weights stay differentiable
-        with tape:
-            cf_parts = []
-            for m, rows, partners, sub_pm, predict in groups:
-                h_i = ad.gather(h_stage[m], rows)
-                h_j = ad.gather(partner_stage[m], partners)
-                cf_parts.append(predict(interpolate(h_i, h_j, lam[rows], sub_pm)))
-            inverse = np.argsort(np.concatenate([rows for _, rows, *_ in groups]))
-            if self.task == SPAN:
-                cf_outputs = (
-                    ad.gather(ad.concat([p[0] for p in cf_parts], axis=0), inverse),
-                    ad.gather(ad.concat([p[1] for p in cf_parts], axis=0), inverse),
-                )
-            else:
-                cf_outputs = ad.gather(ad.concat(cf_parts, axis=0), inverse)
 
             try:
                 weights = importance_weights(
-                    self._probs(outputs), self._probs(cf_outputs), cfg.risk,
+                    self._probs(self._heads(outputs)), self._probs(cf_heads), cfg.risk,
                     labels=labels,
                 )
             except ZeroConfidenceError as exc:
@@ -425,8 +412,7 @@ class Trainer:
             crm = crm_loss(outputs, labels, weights)
             if cfg.update_mode == COMBINED:
                 erm_same = erm_loss(outputs, labels)
-                total = ad.add(crm, erm_same)
-                grads = backward(total)
+                grads = backward(ad.add(crm, erm_same))
             else:
                 grads = backward(crm)
 
@@ -437,13 +423,7 @@ class Trainer:
         else:
             self.adam.step(grads, self._lr(cfg.crm_lr))
             # fresh forward: the empirical step sees the post-update parameters
-            with Tape():
-                h0b, mask_b = model.embed(tokens)
-                h_b = model.forward_layers(h0b, 0, n_layers, mask_b)
-                erm = erm_loss(self._head(h_b, mask_b), labels)
-                grads_erm = backward(erm)
-            erm_value = self._check_finite("erm loss", erm.item())
-            self.adam.step(grads_erm, self._lr(cfg.base_lr))
+            erm_value = self._erm_update(tokens, labels, cfg.base_lr)
 
         self.step_count += 1
         return {

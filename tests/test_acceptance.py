@@ -313,7 +313,7 @@ def test_criterion_10_parameter_freeze_over_200_steps():
     small = ModelConfig(vocab_size=32, d_model=8, n_heads=2, n_layers=2,
                         d_ff=8, max_seq_len=16)
     config = TrainConfig(warmup_steps=0, max_steps=200, candidate_layers=(1, 2),
-                         seed=17, track_param_freeze=True)
+                         seed=17)
     seq = np.random.SeedSequence(17)
     model_rng, trainer_rng = (np.random.default_rng(s) for s in seq.spawn(2))
     trainer = Trainer(EncoderModel(small, model_rng), config, "classification",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cat_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
+from cat_lab.encoder import EncoderModel, ModelConfig
 
 FAST_OVERRIDES = [
     "--set", "train.warmup_steps=2",
@@ -147,6 +148,8 @@ def test_train_rejects_unknown_config_field(dataset_dir, tmp_path):
     ("model.dropout=0.5", "dropout"),
     ("train.adversarial.norm_order=2", "norm_order"),
     ("train.mask_strategy=last_layer", "last_layer"),
+    ("train.track_param_freeze=false", "track_param_freeze"),
+    ("train.risk.detach_weights=false", "detach_weights"),
 ])
 def test_train_rejects_bad_field_before_training(dataset_dir, tmp_path, capsys,
                                                  assignment, field):
@@ -242,6 +245,26 @@ def test_dump_reprs_layer_out_of_range(dataset_dir, tmp_path):
                  "--data", str(dataset_dir / "test_iid.jsonl"),
                  "--layer", "9", "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, missing", [
+    ("eval", "checkpoint"),
+    ("eval", "data"),
+    ("dump-reprs", "checkpoint"),
+    ("dump-reprs", "data"),
+])
+def test_missing_input_file_is_config_error(dataset_dir, tmp_path, capsys,
+                                            command, missing):
+    checkpoint = tmp_path / "model.npz"
+    EncoderModel(ModelConfig(), np.random.default_rng(0)).save(checkpoint)
+    paths = {"checkpoint": checkpoint, "data": dataset_dir / "test_iid.jsonl"}
+    paths[missing] = tmp_path / "nope"
+    extra = [] if command == "eval" else ["--layer", "1", "--out",
+                                          str(tmp_path / "x.csv")]
+    code = main([command, "--checkpoint", str(paths["checkpoint"]),
+                 "--data", str(paths["data"]), *extra])
+    assert code == EXIT_CONFIG
+    assert str(tmp_path / "nope") in capsys.readouterr().err
 
 
 def test_sweep_single_cell_reduces_to_train(dataset_dir, tmp_path):

@@ -203,26 +203,11 @@ def test_detached_weights_block_counterfactual_gradient():
     cf_logits = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     with Tape():
         weights = importance_weights(
-            ad.softmax(logits_orig.detach()), ad.softmax(cf_logits),
-            RiskConfig(detach_weights=True),
+            ad.softmax(logits_orig.detach()), ad.softmax(cf_logits), RiskConfig(),
         )
         grads = backward(crm_loss(logits_orig, labels, weights))
     assert grads.get(cf_logits) is None
     assert grads.get(logits_orig) is not None
-
-
-def test_attached_weights_reach_counterfactual_branch():
-    rng = np.random.default_rng(22)
-    labels = np.array([0, 1, 2])
-    logits_orig = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    cf_logits = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    with Tape():
-        weights = importance_weights(
-            ad.softmax(logits_orig.detach()), ad.softmax(cf_logits),
-            RiskConfig(detach_weights=False, lower=0.0, upper=100.0),
-        )
-        grads = backward(crm_loss(logits_orig, labels, weights))
-    assert grads.get(cf_logits) is not None
 
 
 def test_span_prediction_terms():

@@ -361,6 +361,34 @@ def test_erm_step_tape_is_fused(monkeypatch):
     assert tapes[0] <= 205 // 2
 
 
+@pytest.mark.parametrize("task", ["classification", "span"])
+def test_cat_step_crm_tape_is_erm_tape_plus_weight_multiply(monkeypatch, task):
+    # the counterfactual side (partners, λ ascent, counterfactual prediction,
+    # weights) records nothing: a sequential cat step's CRM tape is an erm
+    # step's tape on the same batch plus the multiply by the constant weights
+    tapes = []
+
+    class CountingTape(Tape):
+        def __exit__(self, *exc):
+            super().__exit__(*exc)
+            tapes.append(len(self))
+
+    monkeypatch.setattr(trainer_module, "Tape", CountingTape)
+    generate = generate_span_task if task == "span" else generate_classification
+    train_set, _, _ = generate(SCMSpec(seed=1), 16, 4)
+    preset = preset_train_config("cat", task)
+    idx = np.arange(preset.batch_size)
+    for m in preset.candidate_layers:
+        config = replace(preset, candidate_layers=(m,))
+        trainer = seeded_trainer(preset_model_config(task), config, task)
+        trainer.erm_step(train_set, idx, phase="warmup")
+        trainer.cat_step(train_set, idx)
+        erm_nodes, crm_nodes, erm_update_nodes = tapes
+        tapes.clear()
+        assert crm_nodes == erm_nodes + 1, f"blend layer {m}"
+        assert erm_update_nodes == erm_nodes
+
+
 # -- evaluation ---------------------------------------------------------------
 
 
