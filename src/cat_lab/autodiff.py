@@ -24,11 +24,22 @@ replace, so outputs are bit-identical; a backward pass computes only the
 gradients of inputs that require one.  Model parameters live in a
 ``ParameterBuffer``: one contiguous float64 vector with a named Tensor
 viewing each slice.
+
+Memory: nodes refer to their tape only weakly, and a tape drops its node
+list when its ``with`` block exits, so nothing outlives the tensors of a
+step.  Reference counting frees a step's arrays and backward closures as
+soon as the step's tensors go out of scope, without waiting for the cyclic
+garbage collector.  So that the next step reuses those pages instead of
+faulting fresh ones in, importing this module asks glibc's allocator
+(where there is one) to serve arrays below ``MMAP_THRESHOLD_BYTES`` from
+its heap and to keep up to ``TRIM_THRESHOLD_BYTES`` of freed heap.
 """
 
 from __future__ import annotations
 
+import ctypes
 import threading
+import weakref
 from collections.abc import Sequence
 
 import numpy as np
@@ -78,6 +89,29 @@ LN_EPS = 1e-5
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+# glibc mallopt parameters and the values set at import: without them, glibc
+# returns the memory a step frees to the OS (heap trim, munmap of large
+# blocks) and every step faults its arrays in afresh
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's largest allowed value on 64-bit
+TRIM_THRESHOLD_BYTES = 128 << 20
+
+
+def _keep_freed_pages() -> None:
+    """Tell glibc's malloc to keep freed memory in the process, if it is glibc."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
+_keep_freed_pages()
 
 _LOCAL = threading.local()
 
@@ -173,7 +207,11 @@ class Tensor:
 
 
 class _Node:
-    """One recorded primitive application (or a registered leaf)."""
+    """One recorded primitive application (or a registered leaf).
+
+    ``tape`` is its tape's weak reference, so a node (and a leaf tensor
+    that outlives the step) never keeps a tape alive.
+    """
 
     __slots__ = ("tape", "idx", "op", "parents", "grad_fn")
 
@@ -192,33 +230,43 @@ class Tape:
     update opens one tape, records its forward and loss, runs ``backward``
     inside it and closes it; nothing re-enters a closed tape.  Tapes nest:
     an inner one (the adversarial loop's) records while it is innermost.
+
+    A closed tape holds nothing: on exit it drops its nodes and keeps only
+    their count (``len``).  The nodes live on through the tensors recorded
+    on them, and die with those tensors.
     """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[_Node] | None = []
+        self._count = 0
+        self._ref = weakref.ref(self)
 
     def __enter__(self) -> "Tape":
+        if self._nodes is None:
+            raise ValueError("tape is closed: a tape records one block only")
         _tape_stack().append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         popped = _tape_stack().pop()
         assert popped is self, "tape stack corrupted"
+        self._count = len(self._nodes)
+        self._nodes = None
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return self._count if self._nodes is None else len(self._nodes)
 
     def _node_for(self, t: Tensor) -> _Node:
         node = t.node
-        if node is not None and node.tape is self:
+        if node is not None and node.tape is self._ref:
             return node
-        leaf = _Node(self, len(self._nodes), "leaf", (), None)
+        leaf = _Node(self._ref, len(self._nodes), "leaf", (), None)
         self._nodes.append(leaf)
         t.node = leaf
         return leaf
 
     def _append(self, op: str, parents, grad_fn) -> _Node:
-        node = _Node(self, len(self._nodes), op, parents, grad_fn)
+        node = _Node(self._ref, len(self._nodes), op, parents, grad_fn)
         self._nodes.append(node)
         return node
 
@@ -860,17 +908,18 @@ class GradientMap:
     """Gradients from one backward pass, keyed by tape node id.
 
     Lookup also accepts the leaf Tensor itself for convenience; a Tensor last
-    recorded on another tape has no gradient here.
+    recorded on another tape has no gradient here.  The map holds its tape's
+    weak reference, not the tape.
     """
 
-    def __init__(self, by_node: dict[int, Tensor], tape: Tape):
+    def __init__(self, by_node: dict[int, Tensor], tape_ref: weakref.ref):
         self._by_node = by_node
-        self._tape = tape
+        self._tape_ref = tape_ref
 
     def _key(self, key) -> int | None:
         if isinstance(key, Tensor):
             node = key.node
-            return node.idx if node is not None and node.tape is self._tape else None
+            return node.idx if node is not None and node.tape is self._tape_ref else None
         return int(key)
 
     def __getitem__(self, key) -> Tensor:
@@ -897,14 +946,19 @@ class GradientMap:
 def backward(loss: Tensor) -> GradientMap:
     """Reverse-accumulate d(loss)/d(leaf) for every requires_grad leaf.
 
-    The seed gradient is 1.0; ``loss`` must be a scalar recorded on a tape.
+    The seed gradient is 1.0; ``loss`` must be a scalar recorded on a tape
+    that is still open.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     node = loss.node
     if node is None:
         raise ValueError("backward: loss is not connected to a tape")
-    nodes = node.tape._nodes
+    tape = node.tape()
+    nodes = None if tape is None else tape._nodes
+    if nodes is None:
+        raise ValueError("backward: the loss's tape is closed; call backward "
+                         "inside its with block")
     grads: list[np.ndarray | None] = [None] * (node.idx + 1)
     grads[node.idx] = np.ones_like(loss.data)
     leaves: dict[int, Tensor] = {}

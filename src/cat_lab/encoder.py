@@ -15,6 +15,8 @@ cleanly.
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -207,13 +209,30 @@ class EncoderModel:
 
     @classmethod
     def load(cls, path) -> "EncoderModel":
-        with np.load(path) as archive:
-            header = json.loads(bytes(archive["__config__"]).decode("utf-8"))
-            header.pop("dropout", None)  # older headers hold it; it was never applied
-            config = ModelConfig(**header)
-            model = cls(config, rng=None)
-            names = {n[2:] for n in archive.files if n.startswith("p/")}
-            if names != set(model._params):
-                raise ValueError("checkpoint parameter names do not match config")
-            model.load_snapshot({name: archive["p/" + name] for name in names})
+        """Read a checkpoint written by ``save``.
+
+        A file that is not an ``.npz`` archive, has no ``__config__`` header,
+        or whose header or arrays do not describe a model raises one
+        ``ValueError`` that names ``path``.
+        """
+        if not zipfile.is_zipfile(path):
+            raise ValueError(f"checkpoint {path} is not an .npz archive")
+        try:
+            archive = np.load(path)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            with archive:
+                if "__config__" not in archive.files:
+                    raise ValueError("no __config__ header")
+                header = json.loads(bytes(archive["__config__"]).decode("utf-8"))
+                if not isinstance(header, dict):
+                    raise ValueError("the __config__ header is not a JSON object")
+                header.pop("dropout", None)  # older headers hold it; it was never applied
+                model = cls(ModelConfig(**header), rng=None)
+                names = {n[2:] for n in archive.files if n.startswith("p/")}
+                if names != set(model._params):
+                    raise ValueError("parameter names do not match the config")
+                model.load_snapshot({name: archive["p/" + name] for name in names})
+        except (OSError, EOFError, ValueError, TypeError, zipfile.BadZipFile, zlib.error) as exc:
+            raise ValueError(f"checkpoint {path} is unreadable: {exc}") from exc
         return model

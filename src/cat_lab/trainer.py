@@ -160,10 +160,11 @@ def resolve_schedule(config: TrainConfig, n_train: int) -> tuple[int, int]:
 class Adam:
     """Adaptive-moment optimizer with global-norm clipping over a parameter buffer.
 
-    The two moments are flat vectors laid out like ``params.flat``; a step
-    concatenates the gradients once and updates ``params.flat`` in place.  A
-    parameter without a gradient contributes zeros, so one that never had a
-    gradient keeps m = v = 0 and an update of exactly 0.  A non-finite
+    The gradient and the two moments are flat vectors laid out like
+    ``params.flat``; a step copies each parameter's gradient into its view of
+    the gradient vector and updates ``params.flat`` in place.  A parameter
+    without a gradient contributes zeros, so one that never had a gradient
+    keeps m = v = 0 and an update of exactly 0.  A non-finite
     gradient norm raises ``DivergenceError``, and a parameter whose ``.data``
     no longer views the buffer raises ``ValueError``, before any parameter
     or moment changes.
@@ -177,14 +178,18 @@ class Adam:
         self.t = 0
         self._m = np.zeros_like(params.flat)
         self._v = np.zeros_like(params.flat)
+        self._grad = np.zeros_like(params.flat)
+        self._grad_views = tuple(params.views(self._grad).values())
 
     def step(self, grads: GradientMap, lr: float) -> None:
         self.params.check_views()
-        parts = []
-        for p in self.params.tensors.values():
+        for p, view in zip(self.params.tensors.values(), self._grad_views):
             g = grads.get(p)
-            parts.append(np.zeros(p.size) if g is None else g.data.reshape(-1))
-        flat = np.concatenate(parts)
+            if g is None:
+                view.fill(0.0)
+            else:
+                view[...] = g.data
+        flat = self._grad
         norm = np.sqrt(np.sum(flat * flat))
         if not np.isfinite(norm):
             raise DivergenceError(f"gradient norm is {norm} at update {self.t + 1}")

@@ -1,5 +1,7 @@
 """Gradient checks for every primitive against central finite differences."""
 
+import gc
+import weakref
 import zlib
 
 import numpy as np
@@ -335,6 +337,48 @@ def test_gradient_lookup_ignores_nodes_of_other_tapes():
     assert w.node.idx == x.node.idx
     assert w not in grads and grads.get(w) is None
     np.testing.assert_array_equal(grads[x].data, [1.0, 1.0, 1.0])
+
+
+def test_backward_on_closed_tape_raises():
+    x = Tensor(_rand((3,)), requires_grad=True)
+    with Tape() as tape:  # still referenced, but closed
+        kept = ad.reduce_sum(ad.mul(x, x))
+    with pytest.raises(ValueError, match="closed"):
+        backward(kept)
+    with Tape():  # nothing refers to this tape after the block: it is gone
+        gone = ad.reduce_sum(ad.mul(x, x))
+    with pytest.raises(ValueError, match="closed"):
+        backward(gone)
+
+
+def test_closed_tape_keeps_its_node_count_and_cannot_reopen():
+    x = Tensor(_rand((3,)), requires_grad=True)
+    with Tape() as tape:
+        backward(ad.reduce_sum(ad.mul(x, x)))
+        assert len(tape) == 3  # leaf, multiply, sum
+    assert len(tape) == 3
+    with pytest.raises(ValueError, match="closed"):
+        with tape:
+            pass
+
+
+def test_closed_tape_frees_what_its_tensors_no_longer_hold():
+    # the tape object outlives the block, yet holds none of its nodes: the
+    # last tensor's backward closure dies with the tensor, without the
+    # cyclic garbage collector
+    x = Tensor(_rand((3,)), requires_grad=True)
+    gc.disable()
+    try:
+        with Tape() as tape:
+            loss = ad.reduce_sum(ad.mul(x, x))
+            grads = backward(loss)
+        closure = weakref.ref(loss.node.grad_fn)
+        del loss
+        assert closure() is None
+    finally:
+        gc.enable()
+    assert len(tape) == 3
+    np.testing.assert_array_equal(grads[x].data, 2.0 * x.data)
 
 
 def test_operators_match_functions():

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cat_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 from cat_lab.encoder import EncoderModel, ModelConfig
@@ -265,6 +267,67 @@ def test_missing_input_file_is_config_error(dataset_dir, tmp_path, capsys,
                  "--data", str(paths["data"]), *extra])
     assert code == EXIT_CONFIG
     assert str(tmp_path / "nope") in capsys.readouterr().err
+
+
+def _run_with_checkpoint(command, checkpoint, dataset_dir, tmp_path):
+    extra = [] if command == "eval" else ["--layer", "1", "--out",
+                                          str(tmp_path / "x.csv")]
+    return main([command, "--checkpoint", str(checkpoint),
+                 "--data", str(dataset_dir / "test_iid.jsonl"), *extra])
+
+
+def _write_bad_checkpoint(path, kind):
+    if kind == "empty":
+        path.write_bytes(b"")
+    elif kind == "text":
+        path.write_text('{"text": "not a checkpoint", "label": 0}\n')
+    else:  # a valid .npz archive without the config header
+        with open(path, "wb") as fh:
+            np.savez(fh, **{"p/tok_emb": np.zeros((4, 4))})
+
+
+@pytest.mark.parametrize("command", ["eval", "dump-reprs"])
+@pytest.mark.parametrize("kind", ["empty", "text", "no_config"])
+def test_unreadable_checkpoint_is_config_error(dataset_dir, tmp_path, capsys,
+                                               command, kind):
+    checkpoint = tmp_path / "model.npz"
+    _write_bad_checkpoint(checkpoint, kind)
+    code = _run_with_checkpoint(command, checkpoint, dataset_dir, tmp_path)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"checkpoint {checkpoint}" in err
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A dataset, a real checkpoint's bytes, and a scratch directory."""
+    root = tmp_path_factory.mktemp("fuzz")
+    spec = write_spec(root / "spec.json")
+    data = root / "data"
+    assert main(["generate", "--spec", str(spec), "--out", str(data)]) == EXIT_OK
+    EncoderModel(ModelConfig(), np.random.default_rng(0)).save(root / "real.npz")
+    return data, (root / "real.npz").read_bytes(), root
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["eval", "dump-reprs"]),
+       blob=st.one_of(st.binary(max_size=512),
+                      st.builds(lambda tail: b"PK\x03\x04" + tail, st.binary(max_size=256)),
+                      st.integers(0, 10**9)))
+def test_fuzzed_checkpoint_is_config_error(fuzz_inputs, capsys, command, blob):
+    # arbitrary bytes, zip-looking bytes, and truncated prefixes of a real
+    # checkpoint (an integer picks the prefix length)
+    data, real, root = fuzz_inputs
+    if isinstance(blob, int):
+        blob = real[:blob % len(real)]
+    checkpoint = root / "fuzzed.npz"
+    checkpoint.write_bytes(blob)
+    capsys.readouterr()
+    code = _run_with_checkpoint(command, checkpoint, data, root)
+    assert code == EXIT_CONFIG
+    assert f"checkpoint {checkpoint}" in capsys.readouterr().err
 
 
 def test_sweep_single_cell_reduces_to_train(dataset_dir, tmp_path):

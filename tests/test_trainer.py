@@ -1,10 +1,15 @@
 """Step mechanics, degenerations, determinism, and evaluation metrics."""
 
+import gc
+import platform
+import resource
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cat_lab import adversarial as adversarial_module
 from cat_lab import trainer as trainer_module
 from cat_lab.adversarial import AdversarialConfig
 from cat_lab.autodiff import ParameterBuffer, Tape, Tensor
@@ -387,6 +392,59 @@ def test_cat_step_crm_tape_is_erm_tape_plus_weight_multiply(monkeypatch, task):
         tapes.clear()
         assert crm_nodes == erm_nodes + 1, f"blend layer {m}"
         assert erm_update_nodes == erm_nodes
+
+
+def test_steps_free_their_tapes_without_the_cycle_collector(monkeypatch):
+    # every tape of an erm and a cat step (the ascent's included) is gone
+    # when the step returns, by reference counting alone
+    tapes = []
+
+    class TrackedTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(trainer_module, "Tape", TrackedTape)
+    monkeypatch.setattr(adversarial_module, "Tape", TrackedTape)
+    for task, generate in (("classification", generate_classification),
+                           ("span", generate_span_task)):
+        train_set, _, _ = generate(SCMSpec(seed=1), 16, 4)
+        trainer = seeded_trainer(preset_model_config(task),
+                                 preset_train_config("cat", task), task)
+        idx = np.arange(trainer.config.batch_size)
+        gc.disable()
+        try:
+            trainer.erm_step(train_set, idx, phase="warmup")
+            trainer.cat_step(train_set, idx)
+            alive = sum(ref() is not None for ref in tapes)
+        finally:
+            gc.enable()
+        assert len(tapes) > 3, task  # erm, CRM, ascent and ERM-update tapes
+        assert alive == 0, f"{task}: {alive} of {len(tapes)} tapes still alive"
+        tapes.clear()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator settings are glibc's")
+def test_span_cat_steps_reuse_freed_pages():
+    # a step's freed arrays stay in the process for the next step: without
+    # the allocator settings each span cat step faults in thousands of pages
+    train_set, _, _ = generate_span_task(SCMSpec(seed=1), 64, 4)
+    trainer = seeded_trainer(preset_model_config("span"),
+                             preset_train_config("cat", "span"), "span")
+    rng = np.random.default_rng(0)
+
+    def step():
+        trainer.cat_step(train_set, rng.choice(64, trainer.config.batch_size,
+                                               replace=False))
+
+    for _ in range(5):
+        step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        step()
+    per_step = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20
+    assert per_step < 1000, f"{per_step:.0f} minor page faults per span cat step"
 
 
 # -- evaluation ---------------------------------------------------------------
