@@ -18,12 +18,13 @@ Scope is deliberately narrow:
 
 Besides the small primitives, fused ones cover the encoder's hot path with
 one tape node each and a hand-written backward pass: ``embedding``,
-``linear``, ``layer_norm_affine`` and ``attention``.  Their forward passes
-run the same numpy operations as the chains of small primitives they
-replace, so outputs are bit-identical; a backward pass computes only the
-gradients of inputs that require one.  Model parameters live in a
-``ParameterBuffer``: one contiguous float64 vector with a named Tensor
-viewing each slice.
+``linear``, ``layer_norm_affine`` and ``attention``.  The first three run the
+same numpy operations as the chains of small primitives they replace, so
+their outputs are bit-identical; ``attention`` lays its scores out key-outer
+and so sums its softmax rows in another order (see its docstring).  A
+backward pass computes only the gradients of inputs that require one.
+Model parameters live in a ``ParameterBuffer``: one contiguous float64
+vector with a named Tensor viewing each slice.
 
 Memory: nodes refer to their tape only weakly, and a tape drops its node
 list when its ``with`` block exits, so nothing outlives the tensors of a
@@ -731,8 +732,11 @@ def embedding(table, positions, tokens) -> Tensor:
     def grad_fn(g):
         g_table = g_positions = None
         if need_table:
-            g_table = np.zeros(table_shape)
-            np.add.at(g_table, tokens, g)
+            # one weighted count per (token, column) cell: the same sums, in
+            # the same order, as np.add.at(zeros, tokens, g), at a third of its cost
+            cells = (tokens[..., None] * table_shape[1] + np.arange(table_shape[1])).ravel()
+            g_table = np.bincount(cells, weights=g.ravel(),
+                                  minlength=table_shape[0] * table_shape[1]).reshape(table_shape)
         if need_positions:
             g_positions = np.zeros(positions_shape)
             g_positions[:seq] = g.sum(axis=0)
@@ -791,6 +795,16 @@ def attention(x, wq, wk, wv, wo, bo, n_heads: int, key_pad=None) -> Tensor:
     (d,).  ``key_pad`` is an optional (batch, seq) bool array marking keys
     no query may attend to: their scores are replaced by ``MASK_FILL``
     before the softmax, and receive no gradient.
+
+    Scores and probabilities live in one (key, batch, head, query) buffer,
+    so the softmax reduces over its first axis: numpy then runs each
+    reduction and broadcast as a few long vector loops over batch * heads *
+    query elements, instead of one short loop per score row.  The products
+    reach that buffer and the (batch, seq, 3, heads, d_k) projection
+    buffers through strided views, which BLAS reads and writes in place.
+    Over 8 or more keys those sums run in another order than a last-axis
+    softmax's, so results match the chain of small primitives to rounding,
+    not bit for bit.
     """
     inputs = tuple(_as_tensor(t) for t in (x, wq, wk, wv, wo, bo))
     xd, wqd, wkd, wvd, wod, bod = (t.data for t in inputs)
@@ -805,24 +819,33 @@ def attention(x, wq, wk, wv, wo, bo, n_heads: int, key_pad=None) -> Tensor:
     if key_pad is not None:
         if np.shape(key_pad) != (b, s):
             raise _shape_error("attention", xd.shape, np.shape(key_pad))
-        pad = np.broadcast_to(np.asarray(key_pad, dtype=bool)[:, None, None, :],
-                              (b, n_heads, s, s))
+        pad = np.asarray(key_pad, dtype=bool).T[:, :, None, None]  # (key, batch, 1, 1)
 
-    def split(a):  # (b, s, d) -> (b, heads, s, dk)
-        return np.transpose(a.reshape(b, s, n_heads, dk), (0, 2, 1, 3))
+    # strided views through the ndarray method: np.moveaxis costs ~8 µs a call
+    def heads(a):  # (b, s, heads, dk) -> (b, heads, s, dk)
+        return a.transpose(0, 2, 1, 3)
 
-    def merge(a):  # (b, heads, s, dk) -> (b, s, d)
-        return np.transpose(a, (0, 2, 1, 3)).reshape(b, s, d)
+    def key_outer(buf):  # (key, b, heads, query) -> (b, heads, key, query)
+        return buf.transpose(1, 2, 0, 3)
 
-    q, k, v = split(np.matmul(xd, wqd)), split(np.matmul(xd, wkd)), split(np.matmul(xd, wvd))
+    def key_last(buf):  # (key, b, heads, query) -> (b, heads, query, key)
+        return buf.transpose(1, 2, 3, 0)
+
+    w_qkv = np.concatenate((wqd, wkd, wvd), 1)
+    qkv = np.matmul(xd, w_qkv).reshape(b, s, 3, n_heads, dk)
+    q, k, v = heads(qkv[:, :, 0]), heads(qkv[:, :, 1]), heads(qkv[:, :, 2])
     scale = 1.0 / np.sqrt(dk)
-    scores = np.matmul(q, np.swapaxes(k, -1, -2))
-    scores *= scale
+    probs = np.empty((s, b, n_heads, s))
+    np.matmul(k, q.swapaxes(-1, -2), out=key_outer(probs))
+    probs *= scale
     if pad is not None:
-        np.copyto(scores, MASK_FILL, where=pad)
-    probs = _softmax_last(scores)
-    del scores
-    ctx = merge(np.matmul(probs, v))
+        np.copyto(probs, MASK_FILL, where=pad)
+    probs -= probs.max(axis=0)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=0)
+    ctx = np.empty((b, s, n_heads, dk))
+    np.matmul(key_last(probs), v, out=heads(ctx))
+    ctx = ctx.reshape(b, s, d)
     need = [t.requires_grad for t in inputs]
 
     def grad_fn(g):
@@ -833,24 +856,27 @@ def attention(x, wq, wk, wv, wo, bo, n_heads: int, key_pad=None) -> Tensor:
             grads[5] = _unbroadcast(g, bod.shape)
         if not any(need[:4]):
             return grads
-        g_ctx = split(np.matmul(g, wod.T))
-        g_scores = _softmax_grad(np.matmul(g_ctx, np.swapaxes(v, -1, -2)), probs)
+        g_ctx = heads(np.matmul(g, wod.T).reshape(b, s, n_heads, dk))
+        g_scores = np.empty_like(probs)
+        np.matmul(v, g_ctx.swapaxes(-1, -2), out=key_outer(g_scores))
+        g_scores -= (g_scores * probs).sum(axis=0)
+        g_scores *= probs
         if pad is not None:
-            g_scores = np.where(pad, 0.0, g_scores)
-        g_scores = g_scores * scale
-        # gradients at the q, k and v projections' outputs, each (b, s, d)
-        g_proj = (merge(np.matmul(g_scores, k)),
-                  merge(np.matmul(np.swapaxes(g_scores, -1, -2), q)),
-                  merge(np.matmul(np.swapaxes(probs, -1, -2), g_ctx)))
-        weights = (wqd, wkd, wvd)
+            np.copyto(g_scores, 0.0, where=pad)
+        g_scores *= scale
+        # gradients at the packed projection's output, (b, s, 3, heads, dk)
+        g_qkv = np.empty_like(qkv)
+        np.matmul(key_last(g_scores), k, out=heads(g_qkv[:, :, 0]))
+        np.matmul(key_outer(g_scores), q, out=heads(g_qkv[:, :, 1]))
+        np.matmul(key_outer(probs), g_ctx, out=heads(g_qkv[:, :, 2]))
+        g_qkv = g_qkv.reshape(b, s, 3 * d)
         if need[0]:
-            # v + k + q is the order the reference chain of small primitives
-            # accumulates them in, so the two round alike
-            g_q, g_k, g_v = (np.matmul(gp, w.T) for gp, w in zip(g_proj, weights))
-            grads[0] = g_v + g_k + g_q
-        for i, gp in enumerate(g_proj, start=1):
-            if need[i]:
-                grads[i] = _weight_grad(xd, gp, weights[i - 1].shape)
+            grads[0] = np.matmul(g_qkv, w_qkv.T)
+        if any(need[1:4]):
+            g_w = _weight_grad(xd, g_qkv, w_qkv.shape)
+            for i in range(3):
+                if need[i + 1]:
+                    grads[i + 1] = g_w[:, i * d:(i + 1) * d]
         return grads
 
     out = np.matmul(ctx, wod)

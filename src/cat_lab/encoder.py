@@ -143,9 +143,8 @@ class EncoderModel:
     def _linear(self, x: Tensor, weight: str, bias: str) -> Tensor:
         return ad.linear(x, self._params[weight], self._params[bias])
 
-    def _block(self, x: Tensor, i: int, mask) -> Tensor:
+    def _block(self, x: Tensor, i: int, key_pad) -> Tensor:
         p = f"layer{i}."
-        key_pad = None if mask is None else np.asarray(mask) == 0.0
         attended = ad.attention(
             self._ln(x, p + "ln1"),
             *(self._params[p + name] for name in ("wq", "wk", "wv", "wo", "bo")),
@@ -163,8 +162,11 @@ class EncoderModel:
                 f"forward_layers: need 0 <= from <= to <= {n}, "
                 f"got ({from_layer}, {to_layer})"
             )
+        key_pad = None if mask is None else np.asarray(mask) == 0.0
+        if key_pad is not None and not key_pad.any():
+            key_pad = None  # no key to mask: attention skips the fill and its gradient
         for i in range(from_layer, to_layer):
-            h = self._block(h, i, mask)
+            h = self._block(h, i, key_pad)
         return h
 
     def _final_norm(self, h: Tensor) -> Tensor:

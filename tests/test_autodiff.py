@@ -77,6 +77,7 @@ def _case_factories(rng):
     projections = [Tensor(rng.uniform(-1, 1, (4, 4))) for _ in range(4)]
     attention_args = [Tensor(x234), *projections, Tensor(rng.uniform(-1, 1, (4,)))]
     key_pad = np.array([[False, True, False], [False, False, True]])
+    row_padded = np.array([[True, True, True], [False, True, False]])  # one sequence all pad
     tokens = rng.integers(0, 5, (2, 3))
     fused = {
         **_input_cases("embedding", lambda t, p: ad.embedding(t, p, tokens),
@@ -90,7 +91,8 @@ def _case_factories(rng):
                         Tensor(rng.uniform(-2, 2, (4,)))],
                        ("x", "gain", "bias")),
     }
-    for name, pad in (("attention", None), ("attention_padded", key_pad)):
+    for name, pad in (("attention", None), ("attention_padded", key_pad),
+                      ("attention_row_padded", row_padded)):
         fused.update(_input_cases(
             name, lambda *a, pad=pad: ad.attention(*a, n_heads=2, key_pad=pad),
             attention_args, ("x", "wq", "wk", "wv", "wo", "bo"),
@@ -389,3 +391,75 @@ def test_operators_match_functions():
     np.testing.assert_array_equal((a * 2.0).data, ad.smul(a, 2.0).data)
     np.testing.assert_array_equal((-a).data, ad.smul(a, -1.0).data)
     np.testing.assert_array_equal((a / b).data, ad.div(a, b).data)
+
+
+def _attention_chain(x, wq, wk, wv, wo, bo, n_heads, key_pad=None):
+    """``attention`` as a chain of the small primitives: the reference."""
+    b, s, d = x.shape
+    dk = d // n_heads
+
+    def split(t):
+        return ad.transpose(ad.reshape(t, (b, s, n_heads, dk)), (0, 2, 1, 3))
+
+    q, k, v = (split(ad.matmul(x, w)) for w in (wq, wk, wv))
+    scores = ad.smul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(dk))
+    if key_pad is not None:
+        scores = ad.masked_fill(scores, key_pad[:, None, None, :], ad.MASK_FILL)
+    ctx = ad.transpose(ad.matmul(ad.softmax(scores), v), (0, 2, 1, 3))
+    return ad.add(ad.matmul(ad.reshape(ctx, (b, s, d)), wo), bo)
+
+
+def _attention_outputs(fn, arrays, n_heads, key_pad, out_weight):
+    """Output and the gradient of every input of ``fn`` under a fixed projection."""
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape():
+        out = fn(*inputs, n_heads=n_heads, key_pad=key_pad)
+        grads = backward(ad.reduce_sum(ad.mul(out, Tensor(out_weight))))
+    return [out.data] + [grads[t].data for t in inputs]
+
+
+def _attention_arrays(rng, b, s, d):
+    return ([rng.normal(size=(b, s, d))]
+            + [rng.normal(0.0, 0.3, (d, d)) for _ in range(4)]
+            + [rng.normal(0.0, 0.3, (d,))])
+
+
+def test_attention_with_no_padded_key_equals_no_key_pad():
+    rng = np.random.default_rng(31)
+    arrays = _attention_arrays(rng, 3, 10, 8)
+    weight = rng.normal(size=(3, 10, 8))
+    unpadded = _attention_outputs(ad.attention, arrays, 2, None, weight)
+    all_false = _attention_outputs(ad.attention, arrays, 2, np.zeros((3, 10), bool), weight)
+    for a, b in zip(unpadded, all_false):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("padded", [False, True])
+def test_attention_matches_small_primitive_chain_at_span_shape(padded):
+    # span preset shape: at 8 or more keys the fused softmax sums its rows in
+    # another order than the chain's, so the two agree to rounding, not bits
+    rng = np.random.default_rng(32)
+    b, s, d, heads = 12, 24, 32, 4
+    arrays = _attention_arrays(rng, b, s, d)
+    key_pad = None
+    if padded:
+        key_pad = np.arange(s) >= rng.integers(1, s + 1, (b, 1))  # padded tails
+        key_pad[0] = True  # one sequence with every key padded
+    weight = rng.normal(size=(b, s, d))
+    fused = _attention_outputs(ad.attention, arrays, heads, key_pad, weight)
+    chain = _attention_outputs(_attention_chain, arrays, heads, key_pad, weight)
+    for name, a, c in zip(("out", "x", "wq", "wk", "wv", "wo", "bo"), fused, chain):
+        np.testing.assert_allclose(a, c, atol=1e-12, rtol=0, err_msg=name)
+
+
+def test_attention_over_all_padded_keys_is_uniform_with_zero_score_gradient():
+    # a sequence whose every key is padded attends uniformly to all of them,
+    # and its scores pass no gradient back to the query and key projections
+    rng = np.random.default_rng(33)
+    x, wq, wk, wv, wo, bo = _attention_arrays(rng, 1, 10, 8)
+    weight = rng.normal(size=(1, 10, 8))
+    out, _, g_wq, g_wk, *_ = _attention_outputs(
+        ad.attention, [x, wq, wk, wv, wo, bo], 2, np.ones((1, 10), bool), weight)
+    uniform = (x @ wv).mean(axis=1, keepdims=True) @ wo + bo
+    np.testing.assert_allclose(out, np.broadcast_to(uniform, out.shape), atol=1e-12, rtol=0)
+    assert not g_wq.any() and not g_wk.any()
