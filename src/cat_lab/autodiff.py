@@ -610,7 +610,8 @@ def max_last(a) -> Tensor:
 def gather(a, indices, axis: int = 0) -> Tensor:
     """Index ``axis`` with an integer array, which takes that axis's place.
 
-    Output shape = a.shape[:axis] + indices.shape + a.shape[axis + 1:].
+    Output shape = a.shape[:axis] + indices.shape + a.shape[axis + 1:], so a
+    scalar index drops the axis.
     """
     a = _as_tensor(a)
     idx = np.asarray(indices)
@@ -624,7 +625,10 @@ def gather(a, indices, axis: int = 0) -> Tensor:
 
     def grad_fn(g):
         gz = np.zeros(shape)
-        np.add.at(gz, where, g)
+        if idx.ndim == 0:
+            gz[where] = g  # one position: nothing repeats, so assign
+        else:
+            np.add.at(gz, where, g)
         return (gz,)
 
     return _record("gather", (a,), a.data[where], grad_fn)
@@ -788,13 +792,19 @@ def layer_norm_affine(x, gain, bias, eps: float = LN_EPS) -> Tensor:
     return _record("layer_norm_affine", (x, gain, bias), out, grad_fn)
 
 
-def attention(x, wq, wk, wv, wo, bo, n_heads: int, key_pad=None) -> Tensor:
+def attention(x, wq, wk, wv, wo, bo, n_heads: int, key_pad=None,
+              query: int | None = None) -> Tensor:
     """Multi-head scaled dot-product self-attention with its output projection.
 
     ``x`` is (batch, seq, d); the four projections are (d, d) and ``bo`` is
     (d,).  ``key_pad`` is an optional (batch, seq) bool array marking keys
     no query may attend to: their scores are replaced by ``MASK_FILL``
     before the softmax, and receive no gradient.
+
+    ``query``, an optional position, computes that position's output only:
+    its query attends over every key, and the result is its (batch, d)
+    vector, the seq axis dropped as ``gather`` drops it for a scalar index.
+    The values equal that row of the full output.
 
     Scores and probabilities live in one (key, batch, head, query) buffer,
     so the softmax reduces over its first axis: numpy then runs each
@@ -815,6 +825,10 @@ def attention(x, wq, wk, wv, wo, bo, n_heads: int, key_pad=None) -> Tensor:
     if n_heads < 1 or d % n_heads:
         raise ValueError(f"attention: d_model {d} not divisible by {n_heads} heads")
     dk = d // n_heads
+    if query is not None and not 0 <= query < s:
+        raise ValueError(f"attention: query position {query} out of range [0, {s})")
+    rows = slice(None) if query is None else slice(query, query + 1)
+    n_q = s if query is None else 1
     pad = None
     if key_pad is not None:
         if np.shape(key_pad) != (b, s):
@@ -833,9 +847,9 @@ def attention(x, wq, wk, wv, wo, bo, n_heads: int, key_pad=None) -> Tensor:
 
     w_qkv = np.concatenate((wqd, wkd, wvd), 1)
     qkv = np.matmul(xd, w_qkv).reshape(b, s, 3, n_heads, dk)
-    q, k, v = heads(qkv[:, :, 0]), heads(qkv[:, :, 1]), heads(qkv[:, :, 2])
+    q, k, v = heads(qkv[:, rows, 0]), heads(qkv[:, :, 1]), heads(qkv[:, :, 2])
     scale = 1.0 / np.sqrt(dk)
-    probs = np.empty((s, b, n_heads, s))
+    probs = np.empty((s, b, n_heads, n_q))
     np.matmul(k, q.swapaxes(-1, -2), out=key_outer(probs))
     probs *= scale
     if pad is not None:
@@ -843,12 +857,14 @@ def attention(x, wq, wk, wv, wo, bo, n_heads: int, key_pad=None) -> Tensor:
     probs -= probs.max(axis=0)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=0)
-    ctx = np.empty((b, s, n_heads, dk))
+    ctx = np.empty((b, n_q, n_heads, dk))
     np.matmul(key_last(probs), v, out=heads(ctx))
-    ctx = ctx.reshape(b, s, d)
+    ctx = ctx.reshape(b, n_q, d)
     need = [t.requires_grad for t in inputs]
 
     def grad_fn(g):
+        if query is not None:
+            g = g[:, None]
         grads = [None] * 6
         if need[4]:
             grads[4] = _weight_grad(ctx, g, wod.shape)
@@ -856,7 +872,7 @@ def attention(x, wq, wk, wv, wo, bo, n_heads: int, key_pad=None) -> Tensor:
             grads[5] = _unbroadcast(g, bod.shape)
         if not any(need[:4]):
             return grads
-        g_ctx = heads(np.matmul(g, wod.T).reshape(b, s, n_heads, dk))
+        g_ctx = heads(np.matmul(g, wod.T).reshape(b, n_q, n_heads, dk))
         g_scores = np.empty_like(probs)
         np.matmul(v, g_ctx.swapaxes(-1, -2), out=key_outer(g_scores))
         g_scores -= (g_scores * probs).sum(axis=0)
@@ -864,9 +880,10 @@ def attention(x, wq, wk, wv, wo, bo, n_heads: int, key_pad=None) -> Tensor:
         if pad is not None:
             np.copyto(g_scores, 0.0, where=pad)
         g_scores *= scale
-        # gradients at the packed projection's output, (b, s, 3, heads, dk)
-        g_qkv = np.empty_like(qkv)
-        np.matmul(key_last(g_scores), k, out=heads(g_qkv[:, :, 0]))
+        # gradients at the packed projection's output, (b, s, 3, heads, dk);
+        # with one query, the other rows' query gradients are zero
+        g_qkv = np.empty_like(qkv) if query is None else np.zeros_like(qkv)
+        np.matmul(key_last(g_scores), k, out=heads(g_qkv[:, rows, 0]))
         np.matmul(key_outer(g_scores), q, out=heads(g_qkv[:, :, 1]))
         np.matmul(key_outer(probs), g_ctx, out=heads(g_qkv[:, :, 2]))
         g_qkv = g_qkv.reshape(b, s, 3 * d)
@@ -881,7 +898,7 @@ def attention(x, wq, wk, wv, wo, bo, n_heads: int, key_pad=None) -> Tensor:
 
     out = np.matmul(ctx, wod)
     out += bod
-    return _record("attention", inputs, out, grad_fn)
+    return _record("attention", inputs, out if query is None else out[:, 0], grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,14 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import time
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +43,7 @@ from cat_lab.datagen import (
     load_jsonl,
     save_jsonl,
 )
-from cat_lab.encoder import EncoderModel, ModelConfig
+from cat_lab.encoder import CLS_POSITION, EncoderModel, ModelConfig
 from cat_lab.mixing import BetaParams, build_mix_plan, interpolate
 from cat_lab.risk import RiskConfig
 from cat_lab.trainer import (
@@ -73,19 +76,70 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _is_union(hint) -> bool:
+    return typing.get_origin(hint) in (typing.Union, types.UnionType)
+
+
+def _fits(value, hint) -> bool:
+    """Whether parsed JSON ``value`` fits a field declared as ``hint``.
+
+    A nested dataclass needs an object and a tuple a list (of fitting
+    items, when the tuple declares them); an int rejects floats, bools and
+    strings; a float takes any int or finite float; a bool takes a bool.
+    """
+    if _is_union(hint):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if hint is type(None):
+        return value is None
+    if is_dataclass(hint):
+        return isinstance(value, dict)
+    if hint is tuple or typing.get_origin(hint) is tuple:
+        items = typing.get_args(hint)[:1]
+        return isinstance(value, list) and all(_fits(v, h) for v in value for h in items)
+    if hint is bool or hint is str:
+        return isinstance(value, hint)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is float:
+        return (isinstance(value, int) and not isinstance(value, bool)
+                or isinstance(value, float) and math.isfinite(value))
+    return True
+
+
+def _type_name(hint) -> str:
+    if _is_union(hint):
+        return " or ".join(_type_name(h) for h in typing.get_args(hint))
+    if hint is type(None):
+        return "null"
+    if is_dataclass(hint):
+        return "object"
+    if hint is tuple or typing.get_origin(hint) is tuple:
+        items = typing.get_args(hint)[:1]
+        return "list" + "".join(f" of {_type_name(h)}s" for h in items)
+    return {bool: "boolean", str: "string", int: "integer",
+            float: "finite number"}.get(hint, str(hint))
+
+
 def _build_dataclass(instance, overrides: dict, where: str):
-    """Apply a (possibly nested) override dict onto a dataclass instance."""
+    """Apply a (possibly nested) override dict onto a dataclass instance.
+
+    Every value is checked against its field's declared type first, so a
+    wrong type is a ``ConfigError`` naming the field, never a later crash.
+    """
     if not isinstance(overrides, dict):
         raise ConfigError(f"{where}: expected an object, got {overrides!r}")
     updates = {}
-    valid = {f.name: f for f in fields(instance)}
+    hints = typing.get_type_hints(type(instance))
     for key, value in overrides.items():
-        if key not in valid:
+        if key not in hints:
             raise ConfigError(f"{where}: unknown field {key!r}")
+        if not _fits(value, hints[key]):
+            raise ConfigError(
+                f"{where}.{key}: expected {_type_name(hints[key])}, got {value!r}")
         current = getattr(instance, key)
-        if is_dataclass(current) and isinstance(value, dict):
+        if is_dataclass(current):
             updates[key] = _build_dataclass(current, value, f"{where}.{key}")
-        elif isinstance(current, tuple) and isinstance(value, list):
+        elif isinstance(value, list):
             updates[key] = tuple(value)
         else:
             updates[key] = value
@@ -93,6 +147,33 @@ def _build_dataclass(instance, overrides: dict, where: str):
         return replace(instance, **updates)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class CaseStudyLayout:
+    """The case-study task's marker phrase and class proportions."""
+
+    train_proportions: tuple[float, ...] = (0.10, 0.80, 0.10)
+    test_proportions: tuple[float, ...] = (0.40, 0.20, 0.40)
+    phrase_token: int | None = None
+
+
+@dataclass(frozen=True)
+class GenerationSpec:
+    """A ``generate`` spec file; ``seed``, when set, overrides ``scm.seed``."""
+
+    task: str = CLASSIFICATION
+    scm: SCMSpec = field(default_factory=SCMSpec)
+    seed: int | None = None
+    n_train: int = 5000
+    n_test: int = 2000
+    case_study: CaseStudyLayout = field(default_factory=CaseStudyLayout)
+
+    def __post_init__(self):
+        if self.task not in TASK_KINDS:
+            raise ValueError(f"unknown task {self.task!r}")
+        if self.n_train < 0 or self.n_test < 0:
+            raise ValueError("n_train and n_test must be >= 0")
 
 
 def preset_train_config(preset: str, task_kind: str) -> TrainConfig:
@@ -136,7 +217,7 @@ def preset_model_config(task_kind: str) -> ModelConfig:
 def _load_json(path: Path, what: str) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -144,6 +225,8 @@ def _load_json(path: Path, what: str) -> dict:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON in {what}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: {what} is nested too deeply") from exc
 
 
 def _apply_dotted(config_dict: dict, dotted: str, raw_value: str) -> None:
@@ -172,11 +255,28 @@ def _parse_seeds(value, base_seed: int) -> list[int]:
     if isinstance(value, int):
         return [base_seed + i for i in range(value)]
     if isinstance(value, list):
-        return [int(v) for v in value]
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
+            raise ConfigError(f"seeds: expected a list of integers, got {value!r}")
+        return value
     text = str(value)
     if "," in text:
         return [int(p) for p in text.split(",") if p.strip()]
     return [base_seed + i for i in range(int(text))]
+
+
+# top-level run config keys and the JSON types they take ("_overrides" is
+# the sweep cell's record of its grid values)
+RUN_CONFIG_TYPES = {"task": str, "data": str, "preset": str, "out": str,
+                    "seeds": (int, str, list), "train": dict, "model": dict,
+                    "_overrides": dict}
+
+
+def _check_run_config(config: dict) -> None:
+    for key, value in config.items():
+        if key not in RUN_CONFIG_TYPES:
+            raise ConfigError(f"run config: unknown key {key!r}")
+        if isinstance(value, bool) or not isinstance(value, RUN_CONFIG_TYPES[key]):
+            raise ConfigError(f"run config: {key!r} has the wrong type: {value!r}")
 
 
 def resolve_run_config(args) -> dict:
@@ -209,7 +309,7 @@ def _infer_task_kind(config: dict, data_dir: Path | None) -> str:
     return kind
 
 
-def _load_data_dir(data_dir: Path) -> tuple[Dataset, dict[str, Dataset]]:
+def _load_data_dir(data_dir: Path, task: str) -> tuple[Dataset, dict[str, Dataset]]:
     train_path = data_dir / "train.jsonl"
     if not train_path.exists():
         raise ConfigError(f"no train.jsonl under {data_dir}")
@@ -218,6 +318,11 @@ def _load_data_dir(data_dir: Path) -> tuple[Dataset, dict[str, Dataset]]:
     for path in sorted(data_dir.glob("test*.jsonl")):
         name = path.stem.removeprefix("test").lstrip("_") or "test"
         eval_sets[name] = load_jsonl(path)
+    for name, split in [("train", train_set), *eval_sets.items()]:
+        if split.task != task:
+            raise DatasetFormatError(
+                f"{data_dir}: the {name} split holds {split.task} records, "
+                f"but the task is {task}")
     return train_set, eval_sets
 
 
@@ -227,15 +332,10 @@ def _load_data_dir(data_dir: Path) -> tuple[Dataset, dict[str, Dataset]]:
 
 
 def cmd_generate(args) -> int:
-    spec_dict = _load_json(Path(args.spec), "generation spec")
-    task = spec_dict.get("task", CLASSIFICATION)
-    if task not in TASK_KINDS:
-        raise ConfigError(f"generation spec: unknown task {task!r}")
-    scm = _build_dataclass(SCMSpec(), spec_dict.get("scm", {}), "scm")
-    if "seed" in spec_dict:
-        scm = replace(scm, seed=int(spec_dict["seed"]))
-    n_train = int(spec_dict.get("n_train", 5000))
-    n_test = int(spec_dict.get("n_test", 2000))
+    spec = _build_dataclass(GenerationSpec(), _load_json(Path(args.spec), "generation spec"),
+                            "generation spec")
+    task, n_train, n_test = spec.task, spec.n_train, spec.n_test
+    scm = spec.scm if spec.seed is None else replace(spec.scm, seed=spec.seed)
 
     out = Path(args.out)
     try:
@@ -251,17 +351,12 @@ def cmd_generate(args) -> int:
         splits = dict(zip(("train", "test_iid", "test_ood"),
                           generate_span_task(scm, n_train, n_test)))
     else:
-        case = spec_dict.get("case_study", {})
-        extras["case_study"] = {
-            "train_proportions": case.get("train_proportions", [0.10, 0.80, 0.10]),
-            "test_proportions": case.get("test_proportions", [0.40, 0.20, 0.40]),
-            "phrase_token": case.get("phrase_token"),
-        }
+        case = spec.case_study
+        extras["case_study"] = asdict(case)
         train_split, test_split = generate_case_study(
-            n_train=n_train, n_test=n_test,
-            phrase_token=extras["case_study"]["phrase_token"],
-            train_proportions=tuple(extras["case_study"]["train_proportions"]),
-            test_proportions=tuple(extras["case_study"]["test_proportions"]),
+            n_train=n_train, n_test=n_test, phrase_token=case.phrase_token,
+            train_proportions=case.train_proportions,
+            test_proportions=case.test_proportions,
             spec=scm, seed=scm.seed,
         )
         splits = {"train": train_split, "test": test_split}
@@ -296,6 +391,7 @@ def cmd_generate(args) -> int:
 
 def run_training(config: dict) -> dict:
     """One multi-seed training run from a resolved config dict."""
+    _check_run_config(config)
     data = config.get("data")
     if data is None:
         raise ConfigError("train: missing 'data' (dataset directory)")
@@ -325,7 +421,7 @@ def run_training(config: dict) -> dict:
 
     out = Path(config.get("out", "runs/latest"))
     out.mkdir(parents=True, exist_ok=True)
-    train_set, eval_sets = _load_data_dir(data_dir)
+    train_set, eval_sets = _load_data_dir(data_dir, task)
 
     per_seed = {}
     for seed in seeds:
@@ -444,7 +540,7 @@ def cmd_dump_reprs(args) -> int:
     mixed = interpolate(h_m, h_m.detach().data[plan.partner], lam)
 
     def pooled(states):
-        final = model.forward_layers(states, layer, n_layers, mask)
+        final = model.forward_layers(states, layer, n_layers, mask, query=CLS_POSITION)
         return model.pooled(final).data
 
     originals = pooled(h_m)
@@ -499,6 +595,9 @@ def cmd_sweep(args) -> int:
     grid = grid_spec.get("grid", {})
     if not isinstance(grid, dict) or not grid:
         raise ConfigError("sweep grid needs a nonempty 'grid' object")
+    for key, values in grid.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"sweep grid: {key!r} needs a nonempty list of values")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -330,50 +330,72 @@ def save_jsonl(dataset: Dataset, path) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
+def _is_index(value) -> bool:
+    """A JSON integer that fits an int64 index: not a bool, not negative."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**63
+
+
 def load_jsonl(path) -> Dataset:
-    """Read a dataset file, validating structure and span invariants."""
+    """Read a dataset file, validating structure and span invariants.
+
+    Each non-blank line is one JSON object with a nonempty ``tokens`` list
+    of non-negative integers, and either a non-negative integer ``label``
+    or an integer ``span`` pair with 0/1 ``segments``; any other line
+    raises ``DatasetFormatError`` naming ``path:line``.
+    """
     tokens, labels, spans, segments = [], [], [], []
     task = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if "tokens" not in record:
-                raise DatasetFormatError(f"{path}:{lineno}: missing 'tokens'")
-            row = record["tokens"]
-            if tokens and len(row) != len(tokens[0]):
-                raise DatasetFormatError(f"{path}:{lineno}: ragged sequence length")
-            if any((not isinstance(t, int)) or t < 0 for t in row):
-                raise DatasetFormatError(f"{path}:{lineno}: bad token id")
-            line_task = SPAN if "span" in record else CLASSIFICATION
-            if task is None:
-                task = line_task
-            elif task != line_task:
-                raise DatasetFormatError(f"{path}:{lineno}: mixed record kinds")
-            tokens.append(row)
-            if line_task == CLASSIFICATION:
-                if "label" not in record or not isinstance(record["label"], int):
-                    raise DatasetFormatError(f"{path}:{lineno}: missing integer 'label'")
-                labels.append(record["label"])
-            else:
-                span = record.get("span")
-                segs = record.get("segments")
-                if (not isinstance(span, list) or len(span) != 2
-                        or not isinstance(segs, list) or len(segs) != len(row)):
-                    raise DatasetFormatError(f"{path}:{lineno}: bad span record")
-                start, end = span
-                if not (0 <= start <= end < len(row)):
-                    raise DatasetFormatError(f"{path}:{lineno}: span out of bounds")
-                if any(segs[p] != 1 for p in range(start, end + 1)):
-                    raise DatasetFormatError(
-                        f"{path}:{lineno}: answer span outside the context segment"
-                    )
-                spans.append(span)
-                segments.append(segs)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise DatasetFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise DatasetFormatError(f"{path}:{lineno}: record is not a JSON object")
+        if "tokens" not in record:
+            raise DatasetFormatError(f"{path}:{lineno}: missing 'tokens'")
+        row = record["tokens"]
+        if not isinstance(row, list) or not row:
+            raise DatasetFormatError(f"{path}:{lineno}: 'tokens' is not a nonempty list")
+        if tokens and len(row) != len(tokens[0]):
+            raise DatasetFormatError(f"{path}:{lineno}: ragged sequence length")
+        if not all(_is_index(t) for t in row):
+            raise DatasetFormatError(f"{path}:{lineno}: bad token id")
+        line_task = SPAN if "span" in record else CLASSIFICATION
+        if task is None:
+            task = line_task
+        elif task != line_task:
+            raise DatasetFormatError(f"{path}:{lineno}: mixed record kinds")
+        tokens.append(row)
+        if line_task == CLASSIFICATION:
+            if not _is_index(record.get("label")):
+                raise DatasetFormatError(
+                    f"{path}:{lineno}: missing non-negative integer 'label'")
+            labels.append(record["label"])
+        else:
+            span = record.get("span")
+            segs = record.get("segments")
+            if (not isinstance(span, list) or len(span) != 2
+                    or not all(_is_index(p) for p in span)
+                    or not isinstance(segs, list) or len(segs) != len(row)
+                    or not all(_is_index(g) and g <= 1 for g in segs)):
+                raise DatasetFormatError(f"{path}:{lineno}: bad span record")
+            start, end = span
+            if not (0 <= start <= end < len(row)):
+                raise DatasetFormatError(f"{path}:{lineno}: span out of bounds")
+            if any(segs[p] != 1 for p in range(start, end + 1)):
+                raise DatasetFormatError(
+                    f"{path}:{lineno}: answer span outside the context segment"
+                )
+            spans.append(span)
+            segments.append(segs)
     if task is None:
         raise DatasetFormatError(f"{path}: empty dataset file")
     if task == CLASSIFICATION:

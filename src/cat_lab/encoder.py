@@ -9,7 +9,9 @@ runs the exact same primitive sequence as the unsplit forward.
 Heads: a classification head (affine -> Tanh -> affine on the first-position
 vector) and an optional span head producing per-position start/end logits.
 The final layer norm lives in the heads, so the layer stack itself composes
-cleanly.
+cleanly.  The classification head reads one position, ``CLS_POSITION``, so
+a classification forward passes it as ``query`` and the last layer computes
+that position alone.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import numpy as np
 
 from cat_lab import autodiff as ad
 from cat_lab.autodiff import MASK_FILL, ParameterBuffer, Tensor
+
+CLS_POSITION = 0  # the position the classification head pools
 
 
 @dataclass
@@ -38,6 +42,9 @@ class ModelConfig:
     pad_id: int = 0
 
     def __post_init__(self):
+        for name in ("vocab_size", "d_model", "n_heads", "d_ff", "max_seq_len", "n_classes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -143,42 +150,59 @@ class EncoderModel:
     def _linear(self, x: Tensor, weight: str, bias: str) -> Tensor:
         return ad.linear(x, self._params[weight], self._params[bias])
 
-    def _block(self, x: Tensor, i: int, key_pad) -> Tensor:
+    def _block(self, x: Tensor, i: int, key_pad, query: int | None = None) -> Tensor:
         p = f"layer{i}."
         attended = ad.attention(
             self._ln(x, p + "ln1"),
             *(self._params[p + name] for name in ("wq", "wk", "wv", "wo", "bo")),
-            n_heads=self.config.n_heads, key_pad=key_pad,
+            n_heads=self.config.n_heads, key_pad=key_pad, query=query,
         )
+        if query is not None:  # only that position goes on: (batch, d) from here
+            x = ad.gather(x, query, axis=1)
         x = ad.add(x, attended)
         hidden = ad.gelu(self._linear(self._ln(x, p + "ln2"), p + "w_ff1", p + "b_ff1"))
         return ad.add(x, self._linear(hidden, p + "w_ff2", p + "b_ff2"))
 
-    def forward_layers(self, h: Tensor, from_layer: int, to_layer: int, mask) -> Tensor:
-        """Apply layers from_layer+1 .. to_layer; equal bounds is the identity."""
+    def forward_layers(self, h: Tensor, from_layer: int, to_layer: int, mask,
+                       query: int | None = None) -> Tensor:
+        """Apply layers from_layer+1 .. to_layer; equal bounds is the identity.
+
+        ``query``, an optional position, returns only that position's
+        (batch, d) state: the last layer then computes that row alone, which
+        is all the classification head reads (``query=CLS_POSITION``).  With
+        equal bounds the row is taken from ``h``.
+        """
         n = self.config.n_layers
         if not 0 <= from_layer <= to_layer <= n:
             raise ValueError(
                 f"forward_layers: need 0 <= from <= to <= {n}, "
                 f"got ({from_layer}, {to_layer})"
             )
+        if query is not None and from_layer == to_layer:
+            return ad.gather(h, query, axis=1)
         key_pad = None if mask is None else np.asarray(mask) == 0.0
         if key_pad is not None and not key_pad.any():
             key_pad = None  # no key to mask: attention skips the fill and its gradient
         for i in range(from_layer, to_layer):
-            h = self._block(h, i, key_pad)
+            h = self._block(h, i, key_pad, query if i == to_layer - 1 else None)
         return h
 
     def _final_norm(self, h: Tensor) -> Tensor:
         return self._ln(h, "final_ln")
 
     def pooled(self, h_last: Tensor) -> Tensor:
-        """First-position vector after the final layer norm (CLS-style)."""
+        """First-position vector after the final layer norm (CLS-style).
+
+        ``h_last`` is (batch, seq, d), or the (batch, d) first-position
+        states of ``forward_layers(..., query=CLS_POSITION)``.
+        """
         normed = self._final_norm(h_last)
-        return ad.gather(normed, 0, axis=1)
+        return normed if normed.ndim == 2 else ad.gather(normed, CLS_POSITION, axis=1)
 
     def classify(self, h_last: Tensor, mask=None) -> Tensor:
         """Class logits from the pooled vector: affine -> Tanh -> affine.
+
+        ``h_last`` is either form ``pooled`` takes.
 
         ``mask`` is accepted for interface symmetry; first-position pooling
         does not consult it.

@@ -30,7 +30,7 @@ from cat_lab import autodiff as ad
 from cat_lab.adversarial import AdversarialConfig, optimize_lambda
 from cat_lab.autodiff import GradientMap, ParameterBuffer, Tape, Tensor, backward
 from cat_lab.datagen import CLASSIFICATION, SPAN, Dataset
-from cat_lab.encoder import EncoderModel, ModelConfig
+from cat_lab.encoder import CLS_POSITION, EncoderModel, ModelConfig
 from cat_lab.mixing import (
     LAST_LAYER,
     MASK_STRATEGIES,
@@ -68,6 +68,19 @@ METRIC_COLUMNS = (
     "mean_weight",
     "cal_param_delta",
 )
+
+
+def forward_to_head(model: EncoderModel, task: str, h: Tensor, from_layer: int,
+                    mask) -> Tensor:
+    """Layers from_layer+1 .. L, as far as ``task``'s head reads them.
+
+    The classification head reads ``CLS_POSITION`` only, so its last layer
+    computes that position alone; the span head reads every position.
+    """
+    n_layers = model.config.n_layers
+    if task == SPAN:
+        return model.forward_layers(h, from_layer, n_layers, mask)
+    return model.forward_layers(h, from_layer, n_layers, mask, query=CLS_POSITION)
 
 
 @contextmanager
@@ -117,7 +130,7 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    candidate_layers: tuple = (2, 3)
+    candidate_layers: tuple[int, ...] = (2, 3)
     beta: BetaParams = field(default_factory=BetaParams)
     adversarial: AdversarialConfig = field(default_factory=AdversarialConfig)
     risk: RiskConfig = field(default_factory=RiskConfig)
@@ -137,6 +150,10 @@ class TrainConfig:
             raise ValueError(f"unknown update mode {self.update_mode!r}")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.eval_batch_size < 1:
+            raise ValueError("eval batch size must be >= 1")
+        if self.lr_warmup_steps < 0:
+            raise ValueError("lr_warmup_steps must be >= 0")
         if not self.candidate_layers:
             raise ValueError("candidate layer set must be nonempty")
         if self.mask_strategy not in MASK_STRATEGIES:
@@ -284,10 +301,10 @@ class Trainer:
         return np.stack(rows)
 
     def _make_predict(self, m: int, attn_mask, fill_mask):
-        model, n_layers = self.model, self.model.config.n_layers
+        model = self.model
 
         def predict(mixed):
-            h_last = model.forward_layers(mixed, m, n_layers, attn_mask)
+            h_last = forward_to_head(model, self.task, mixed, m, attn_mask)
             if self.task == SPAN:
                 span_mask = attn_mask if attn_mask is not None else fill_mask
                 return model.span_logits(h_last, span_mask)
@@ -310,7 +327,7 @@ class Trainer:
         """Forward, empirical loss, backward and one Adam update; the loss."""
         with Tape():
             h0, mask = self.model.embed(tokens)
-            h = self.model.forward_layers(h0, 0, self.model.config.n_layers, mask)
+            h = forward_to_head(self.model, self.task, h0, 0, mask)
             loss = erm_loss(self._head(h, mask), labels)
             grads = backward(loss)
         value = self._check_finite("erm loss", loss.item())
@@ -360,7 +377,7 @@ class Trainer:
             # original forward, caching states at every blend layer
             h_stage, mask = self._staged_forward(tokens, blend_layers)
             last = blend_layers[-1]
-            h_last = model.forward_layers(h_stage[last], last, n_layers, mask)
+            h_last = forward_to_head(model, self.task, h_stage[last], last, mask)
             outputs = self._head(h_last, mask)
 
             # counterfactual side on detached states: records nothing, and the
@@ -535,6 +552,9 @@ def evaluate(model: EncoderModel, dataset: Dataset, task: str,
     """Accuracy for classification; exact match and token F1 for spans."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    if task == CLASSIFICATION and dataset.labels.max() >= model.config.n_classes:
+        raise ValueError(f"dataset label {dataset.labels.max()} is not one of "
+                         f"the model's {model.config.n_classes} classes")
     n = len(dataset)
     correct = 0.0
     em = 0.0
@@ -543,7 +563,7 @@ def evaluate(model: EncoderModel, dataset: Dataset, task: str,
         idx = np.arange(lo, min(lo + batch_size, n))
         tokens = dataset.tokens[idx]
         h0, mask = model.embed(tokens)
-        h = model.forward_layers(h0, 0, model.config.n_layers, mask)
+        h = forward_to_head(model, task, h0, 0, mask)
         if task == CLASSIFICATION:
             logits = model.classify(h, mask).data
             correct += float(np.sum(logits.argmax(axis=1) == dataset.labels[idx]))

@@ -58,6 +58,11 @@ def _input_cases(name, fn, args, labels):
     return {f"{name}_{label}": case(i) for i, label in enumerate(labels)}
 
 
+# attention key pads for (2, 3) inputs: some keys padded, and one sequence all pad
+KEY_PAD = np.array([[False, True, False], [False, False, True]])
+ROW_PADDED = np.array([[True, True, True], [False, True, False]])
+
+
 def _case_factories(rng):
     """One deterministic (build, x) pair per primitive, fresh constants."""
     c23 = Tensor(rng.uniform(-2, 2, (2, 3)))
@@ -76,8 +81,6 @@ def _case_factories(rng):
     # fused primitives: every differentiable input, small shapes, 2 heads
     projections = [Tensor(rng.uniform(-1, 1, (4, 4))) for _ in range(4)]
     attention_args = [Tensor(x234), *projections, Tensor(rng.uniform(-1, 1, (4,)))]
-    key_pad = np.array([[False, True, False], [False, False, True]])
-    row_padded = np.array([[True, True, True], [False, True, False]])  # one sequence all pad
     tokens = rng.integers(0, 5, (2, 3))
     fused = {
         **_input_cases("embedding", lambda t, p: ad.embedding(t, p, tokens),
@@ -91,8 +94,8 @@ def _case_factories(rng):
                         Tensor(rng.uniform(-2, 2, (4,)))],
                        ("x", "gain", "bias")),
     }
-    for name, pad in (("attention", None), ("attention_padded", key_pad),
-                      ("attention_row_padded", row_padded)):
+    for name, pad in (("attention", None), ("attention_padded", KEY_PAD),
+                      ("attention_row_padded", ROW_PADDED)):
         fused.update(_input_cases(
             name, lambda *a, pad=pad: ad.attention(*a, n_heads=2, key_pad=pad),
             attention_args, ("x", "wq", "wk", "wv", "wo", "bo"),
@@ -131,6 +134,7 @@ def _case_factories(rng):
         "max": (lambda x: scalarize(ad.max_last(x)), max_x),
         "gather_axis": (lambda x: scalarize(ad.gather(x, np.array([2, 0, 2]), axis=1)),
                         x234),
+        "gather_scalar": (lambda x: scalarize(ad.gather(x, 1, axis=1)), x234),
         "take_last": (lambda x: scalarize(ad.take_last(x, idx_last)), _rand((2, 3))),
         "masked_fill": (
             lambda x: scalarize(ad.masked_fill(x, mask23, -9.0)),
@@ -160,6 +164,28 @@ def test_primitive_gradients_match_finite_differences(name):
     # 100 random instances per primitive, fresh constants and inputs each time
     for trial in range(100):
         build, x = _case_factories(np.random.default_rng(trial_seed(name, trial)))[name]
+        check_grad(build, x)
+
+
+def _attention_query_cases(rng):
+    """``attention(..., query=0)``: one (build, x) pair per input and key pad."""
+    args = ([Tensor(rng.uniform(-2, 2, (2, 3, 4)))]
+            + [Tensor(rng.uniform(-1, 1, (4, 4))) for _ in range(4)]
+            + [Tensor(rng.uniform(-1, 1, (4,)))])
+    cases = {}
+    for name, pad in (("attention_query0", None), ("attention_query0_padded", KEY_PAD),
+                      ("attention_query0_row_padded", ROW_PADDED)):
+        cases.update(_input_cases(
+            name, lambda *a, pad=pad: ad.attention(*a, n_heads=2, key_pad=pad, query=0),
+            args, ("x", "wq", "wk", "wv", "wo", "bo"),
+        ))
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_attention_query_cases(np.random.default_rng(0))))
+def test_attention_at_one_query_gradients_match_finite_differences(name):
+    for trial in range(100):
+        build, x = _attention_query_cases(np.random.default_rng(trial_seed(name, trial)))[name]
         check_grad(build, x)
 
 
@@ -409,11 +435,11 @@ def _attention_chain(x, wq, wk, wv, wo, bo, n_heads, key_pad=None):
     return ad.add(ad.matmul(ad.reshape(ctx, (b, s, d)), wo), bo)
 
 
-def _attention_outputs(fn, arrays, n_heads, key_pad, out_weight):
+def _attention_outputs(fn, arrays, n_heads, key_pad, out_weight, **kwargs):
     """Output and the gradient of every input of ``fn`` under a fixed projection."""
     inputs = [Tensor(a, requires_grad=True) for a in arrays]
     with Tape():
-        out = fn(*inputs, n_heads=n_heads, key_pad=key_pad)
+        out = fn(*inputs, n_heads=n_heads, key_pad=key_pad, **kwargs)
         grads = backward(ad.reduce_sum(ad.mul(out, Tensor(out_weight))))
     return [out.data] + [grads[t].data for t in inputs]
 
@@ -463,3 +489,33 @@ def test_attention_over_all_padded_keys_is_uniform_with_zero_score_gradient():
     uniform = (x @ wv).mean(axis=1, keepdims=True) @ wo + bo
     np.testing.assert_allclose(out, np.broadcast_to(uniform, out.shape), atol=1e-12, rtol=0)
     assert not g_wq.any() and not g_wk.any()
+
+
+@pytest.mark.parametrize("padded", [False, True])
+@pytest.mark.parametrize("query", [0, 5])
+def test_attention_at_one_query_matches_that_row_of_full_attention(padded, query):
+    # the output is the full output's row, and every gradient equals the full
+    # pass's under an upstream gradient that is zero outside that row
+    rng = np.random.default_rng(34)
+    b, s, d, heads = 12, 24, 32, 4
+    arrays = _attention_arrays(rng, b, s, d)
+    key_pad = None
+    if padded:
+        key_pad = np.arange(s) >= rng.integers(1, s + 1, (b, 1))
+        key_pad[0] = True
+    row_weight = rng.normal(size=(b, d))
+    full_weight = np.zeros((b, s, d))
+    full_weight[:, query] = row_weight
+    one = _attention_outputs(ad.attention, arrays, heads, key_pad, row_weight, query=query)
+    full = _attention_outputs(ad.attention, arrays, heads, key_pad, full_weight)
+    assert one[0].shape == (b, d)
+    full[0] = full[0][:, query]
+    for name, a, c in zip(("out", "x", "wq", "wk", "wv", "wo", "bo"), one, full):
+        np.testing.assert_allclose(a, c, atol=1e-12, rtol=0, err_msg=name)
+
+
+def test_attention_query_out_of_range_raises():
+    arrays = _attention_arrays(np.random.default_rng(35), 2, 4, 8)
+    with pytest.raises(ValueError, match="query position 4"):
+        ad.attention(*(Tensor(a) for a in arrays), n_heads=2, query=4)
+

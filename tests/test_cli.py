@@ -352,6 +352,16 @@ def test_sweep_single_cell_reduces_to_train(dataset_dir, tmp_path):
     assert (out / "cell_0" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("values", [5, [], {"a": 1}])
+def test_sweep_grid_values_must_be_lists(dataset_dir, tmp_path, capsys, values):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({"base": {"data": str(dataset_dir)},
+                                     "grid": {"train.max_steps": values}}))
+    code = main(["sweep", "--grid", str(grid_path), "--out", str(tmp_path / "sweep")])
+    assert code == EXIT_CONFIG
+    assert "train.max_steps" in capsys.readouterr().err
+
+
 def test_sweep_records_cell_failures_and_continues(dataset_dir, tmp_path):
     grid = {
         "base": {
@@ -373,3 +383,198 @@ def test_sweep_records_cell_failures_and_continues(dataset_dir, tmp_path):
     statuses = [r[2] for r in rows[1:]]
     assert statuses[0] == "ok"
     assert statuses[1].startswith("error")
+
+
+# ---------------------------------------------------------------------------
+# malformed records, specs and --set values: exit 2 or 3 with a message
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("line, code", [
+    ("3", EXIT_DATA),
+    ("null", EXIT_DATA),
+    ('{"tokens": 5, "label": 0}', EXIT_DATA),
+    ('{"tokens": [], "label": 0}', EXIT_DATA),
+    ('{"tokens": [1, true], "label": 0}', EXIT_DATA),
+    ('{"tokens": [1, 2], "label": -1}', EXIT_DATA),
+    ('{"tokens": [1, 2], "label": false}', EXIT_DATA),
+    ('{"tokens": [1, 2], "span": ["a", 1], "segments": [1, 1]}', EXIT_DATA),
+    ('{"tokens": [1, 2], "span": [0.5, 1], "segments": [1, 1]}', EXIT_DATA),
+    ('{"tokens": [1, 2], "span": [0, 1], "segments": ["a", 1]}', EXIT_DATA),
+    ('{"tokens": [1, 2], "label": 7}', EXIT_CONFIG),  # the model has 3 classes
+])
+def test_malformed_record_exits_with_a_message(fuzz_inputs, capsys, line, code):
+    _, real, root = fuzz_inputs
+    (root / "model.npz").write_bytes(real)
+    bad = root / "bad.jsonl"
+    bad.write_text(line + "\n")
+    assert main(["eval", "--checkpoint", str(root / "model.npz"), "--data", str(bad)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == EXIT_DATA:
+        assert f"{bad}:1:" in err
+
+
+@pytest.mark.parametrize("blob", [b"\xff\xfe{}\n", b"[" * 10**5 + b"]" * 10**5 + b"\n"])
+def test_undecodable_or_too_deep_record_is_data_error(fuzz_inputs, capsys, blob):
+    _, real, root = fuzz_inputs
+    (root / "model.npz").write_bytes(real)
+    bad = root / "bad.jsonl"
+    bad.write_bytes(blob)
+    assert main(["eval", "--checkpoint", str(root / "model.npz"), "--data", str(bad)]) \
+        == EXIT_DATA
+    assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[" * 10**5 + "]" * 10**5, None])
+def test_too_deep_or_undecodable_spec_is_config_error(tmp_path, capsys, text):
+    path = tmp_path / "spec.json"
+    if text is None:
+        path.write_bytes(b"\xff\xfe{}")
+    else:
+        path.write_text(text)
+    assert main(["generate", "--spec", str(path), "--out", str(tmp_path / "data")]) \
+        == EXIT_CONFIG
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, field", [
+    ([], "expected an object"),
+    ({"task": "classification", "confound_strength": 2}, "confound_strength"),
+    ({"seed": 1.5}, "seed"),
+    ({"n_train": "5"}, "n_train"),
+    ({"scm": {"vocab_size": True}}, "scm.vocab_size"),
+    ({"task": "case_study", "case_study": {"train_proportions": 0.5}}, "train_proportions"),
+])
+def test_malformed_spec_is_config_error(tmp_path, capsys, spec, field):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["generate", "--spec", str(path), "--out", str(tmp_path / "data")]) \
+        == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("assignment, field", [
+    ("train.risk=5", "train.risk"),
+    ("train.candidate_layers=7", "train.candidate_layers"),
+    ('train.candidate_layers=["a"]', "train.candidate_layers"),
+    ("train.adversarial.steps=1.5", "train.adversarial.steps"),
+    ("train.batch_size=true", "train.batch_size"),
+    ("train.base_lr=NaN", "train.base_lr"),
+    ("model.n_heads=0", "n_heads"),
+    ('train.lr_warmup_steps="x"', "train.lr_warmup_steps"),
+    ("train.lr_warmup_steps=-1", "lr_warmup_steps"),
+    ("train.eval_batch_size=0", "eval batch size"),
+    ("seeds=[{}]", "seeds"),
+    ("bogus=1", "bogus"),
+])
+def test_bad_set_value_is_config_error_before_training(dataset_dir, tmp_path, capsys,
+                                                       assignment, field):
+    out = tmp_path / "x"
+    code = main(["train", "--data", str(dataset_dir), "--preset", "cat",
+                 "--out", str(out), *FAST_OVERRIDES, "--set", assignment])
+    assert code == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert not (out / "seed_0").exists()
+
+
+def test_float_fields_take_integers(dataset_dir, tmp_path):
+    assert main(["train", "--data", str(dataset_dir), "--preset", "cat", "--seeds", "1",
+                 "--out", str(tmp_path / "x"), *FAST_OVERRIDES,
+                 "--set", "train.base_lr=1", "--set", "train.beta.alpha=1"]) == EXIT_OK
+
+
+# JSON values of every kind; integers stay small, so a fuzzed size or step
+# count keeps each example well under a second
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 40),
+                         st.floats(-3, 40), st.sampled_from([float("nan"), float("inf")]),
+                         st.text(max_size=4))
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+SET_KEYS = [
+    "train", "model", "task", "preset", "bogus", "train.algorithm", "train.update_mode",
+    "train.risk", "train.risk.lower", "train.risk.upper", "train.risk.estimator",
+    "train.adversarial", "train.adversarial.steps", "train.adversarial.step_size",
+    "train.adversarial.gamma", "train.beta", "train.beta.alpha", "train.candidate_layers",
+    "train.batch_size", "train.eval_batch_size", "train.lr_warmup_steps", "train.max_steps",
+    "train.warmup_steps", "train.eval_interval", "train.grad_clip", "train.mask_strategy",
+    "train.per_sample_layer", "train.cross_batch_partners", "train.seed", "train.bogus",
+    "model.n_heads", "model.n_layers", "model.d_model", "model.d_ff", "model.vocab_size",
+    "model.max_seq_len", "model.n_classes", "model.use_span_head", "model.pad_id",
+]
+# --set values that parse to the right type more often than arbitrary JSON
+# does, so that a fair share of examples trains
+PLAUSIBLE_SET_VALUES = st.one_of(
+    st.integers(-1, 6).map(str), st.floats(0.0, 3.0).map(json.dumps),
+    st.sampled_from(['"erm"', '"cat-star"', '"combined"', '"true_label_prob"', '"span"',
+                     "true", "false", "null", "[1]", "[2, 1]", "[]", "{}"]))
+SPEC_FIELDS = ["task", "scm", "seed", "n_train", "n_test", "case_study", "bogus"]
+SCM_FIELDS = ["vocab_size", "n_classes", "causal_tokens_per_class", "seq_len",
+              "confound_strength", "label_noise", "seed", "query_len",
+              "trigger_token_count", "answer_token_count", "max_answer_len", "typed_answers"]
+RECORD_KEYS = ["tokens", "label", "span", "segments"]
+FUZZ = settings(max_examples=50, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _no_traceback(capsys, code):
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA), err
+    assert "Traceback" not in err
+
+
+@FUZZ
+@given(command=st.sampled_from(["eval", "dump-reprs"]),
+       records=st.lists(st.one_of(
+           JSON_VALUES,
+           st.fixed_dictionaries({"tokens": st.one_of(st.lists(st.integers(-1, 70), max_size=5),
+                                                      JSON_VALUES)},
+                                 optional={k: JSON_VALUES for k in RECORD_KEYS[1:]}),
+           st.dictionaries(st.sampled_from(RECORD_KEYS), st.one_of(
+               st.integers(-1, 4), st.lists(st.integers(-1, 4), max_size=4))),
+       ), min_size=1, max_size=3))
+def test_fuzzed_records_exit_0_2_or_3(fuzz_inputs, capsys, command, records):
+    _, real, root = fuzz_inputs
+    (root / "model.npz").write_bytes(real)
+    data = root / "fuzzed.jsonl"
+    data.write_text("".join(json.dumps(r) + "\n" for r in records))
+    extra = [] if command == "eval" else ["--layer", "1", "--out", str(root / "x.csv")]
+    _no_traceback(capsys, main([command, "--checkpoint", str(root / "model.npz"),
+                                "--data", str(data), *extra]))
+
+
+@FUZZ
+@given(spec=st.one_of(
+    JSON_VALUES,
+    st.dictionaries(st.sampled_from(SPEC_FIELDS), JSON_VALUES, max_size=3),
+    st.fixed_dictionaries(
+        {"task": st.sampled_from(["classification", "span", "case_study"]),
+         "n_train": st.integers(-1, 24), "n_test": st.integers(-1, 8)},
+        optional={"scm": st.dictionaries(st.sampled_from(SCM_FIELDS), JSON_SCALARS, max_size=3),
+                  "seed": JSON_SCALARS,
+                  "case_study": st.dictionaries(
+                      st.sampled_from(["train_proportions", "test_proportions", "phrase_token"]),
+                      JSON_VALUES, max_size=2)}),
+))
+def test_fuzzed_spec_exits_0_2_or_3(fuzz_inputs, capsys, spec):
+    _, _, root = fuzz_inputs
+    path = root / "fuzzed_spec.json"
+    path.write_text(json.dumps(spec))
+    _no_traceback(capsys, main(["generate", "--spec", str(path), "--out", str(root / "gen")]))
+
+
+@FUZZ
+@given(assignments=st.lists(
+    st.tuples(st.sampled_from(SET_KEYS),
+              st.one_of(PLAUSIBLE_SET_VALUES, PLAUSIBLE_SET_VALUES,
+                        JSON_VALUES.map(json.dumps), st.text(max_size=6))),
+    min_size=1, max_size=2))
+def test_fuzzed_set_values_exit_0_2_or_3(fuzz_inputs, capsys, assignments):
+    data, _, root = fuzz_inputs
+    sets = [arg for key, value in assignments for arg in ("--set", f"{key}={value}")]
+    code = main(["train", "--data", str(data), "--preset", "cat", "--seeds", "1",
+                 "--out", str(root / "runs"), *FAST_OVERRIDES, "--set", "train.max_steps=4",
+                 *sets])
+    _no_traceback(capsys, code)

@@ -29,6 +29,8 @@ def test_config_validation():
         ModelConfig(d_model=30, n_heads=4)
     with pytest.raises(ValueError, match="n_layers"):
         ModelConfig(n_layers=1)
+    with pytest.raises(ValueError, match="n_heads"):
+        ModelConfig(n_heads=0)
 
 
 def test_embed_shapes_and_mask(model):
@@ -74,6 +76,22 @@ def test_from_equals_to_is_bitwise_identity(model):
     h0, mask = model.embed(np.array([[4, 5, 6]]))
     out = model.forward_layers(h0, 2, 2, mask)
     np.testing.assert_array_equal(out.data, h0.data)
+
+
+@pytest.mark.parametrize("from_layer, to_layer", [(0, 4), (2, 4), (1, 3), (4, 4)])
+def test_forward_at_one_query_is_that_row_of_the_full_forward(model, from_layer, to_layer):
+    rng = np.random.default_rng(12)
+    tokens = _tokens(rng, 3, 10, model.config.vocab_size, pad_tail=3)
+    h0, mask = model.embed(tokens)
+    h = model.forward_layers(h0, 0, from_layer, mask)
+    full = model.forward_layers(h, from_layer, to_layer, mask)
+    for query in (0, 4):
+        row = model.forward_layers(h, from_layer, to_layer, mask, query=query)
+        assert row.shape == (3, model.config.d_model)
+        np.testing.assert_allclose(row.data, full.data[:, query], atol=1e-12, rtol=0)
+    np.testing.assert_allclose(model.classify(model.forward_layers(h, from_layer, to_layer, mask,
+                                                                   query=0)).data,
+                               model.classify(full).data, atol=1e-12, rtol=0)
 
 
 def test_layer_range_validation(model):

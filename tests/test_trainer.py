@@ -12,18 +12,19 @@ import pytest
 from cat_lab import adversarial as adversarial_module
 from cat_lab import trainer as trainer_module
 from cat_lab.adversarial import AdversarialConfig
-from cat_lab.autodiff import ParameterBuffer, Tape, Tensor
+from cat_lab.autodiff import ParameterBuffer, Tape, Tensor, backward
 from cat_lab.cli import preset_model_config, preset_train_config
 from cat_lab.datagen import SCMSpec, generate_classification, generate_span_task
 from cat_lab.encoder import EncoderModel, ModelConfig
 from cat_lab.mixing import BetaParams
-from cat_lab.risk import RiskConfig
+from cat_lab.risk import RiskConfig, erm_loss
 from cat_lab.trainer import (
     COMBINED,
     Adam,
     DivergenceError,
     TrainConfig,
     evaluate,
+    forward_to_head,
     resolve_schedule,
     seeded_trainer,
     span_f1,
@@ -364,6 +365,38 @@ def test_erm_step_tape_is_fused(monkeypatch):
     trainer.erm_step(train_set, np.arange(8), phase="erm")
     assert len(tapes) == 1
     assert tapes[0] <= 205 // 2
+
+
+@pytest.mark.parametrize("padded", [False, True])
+def test_erm_step_at_the_head_position_matches_the_full_forward(padded):
+    # an erm step's classification forward computes only position 0 in its
+    # last layer; its logits and every parameter gradient match the full pass
+    trainer = seeded_trainer(preset_model_config("classification"),
+                             preset_train_config("erm", "classification"),
+                             "classification")
+    model = trainer.model
+    train_set, _, _ = generate_classification(SCMSpec(seed=1), 16, 4)
+    tokens, labels = train_set.tokens[:8].copy(), train_set.labels[:8]
+    if padded:
+        tokens[:, 12:] = 0
+        tokens[3, 1:] = 0
+    results = []
+    for pruned in (True, False):
+        with Tape():
+            h0, mask = model.embed(tokens)
+            if pruned:
+                h = forward_to_head(model, "classification", h0, 0, mask)
+            else:
+                h = model.forward_layers(h0, 0, model.config.n_layers, mask)
+            logits = model.classify(h, mask)
+            grads = backward(erm_loss(logits, labels))
+        results.append((h.shape, logits.data,
+                        {k: grads[p].data for k, p in model.parameters().items()}))
+    (pruned_shape, pruned_logits, pruned_grads), (full_shape, full_logits, full_grads) = results
+    assert pruned_shape == (8, model.config.d_model) and len(full_shape) == 3
+    np.testing.assert_allclose(pruned_logits, full_logits, atol=1e-12, rtol=0)
+    for name, g in full_grads.items():
+        np.testing.assert_allclose(pruned_grads[name], g, atol=1e-12, rtol=0, err_msg=name)
 
 
 @pytest.mark.parametrize("task", ["classification", "span"])
