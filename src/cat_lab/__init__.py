@@ -20,7 +20,7 @@ from cat_lab.datagen import (
 )
 from cat_lab.encoder import EncoderModel, ModelConfig
 from cat_lab.mixing import BetaParams, MixPlan, build_mix_plan, interpolate, sample_beta
-from cat_lab.risk import RiskConfig, RiskWeights, crm_loss, erm_loss, importance_weights
+from cat_lab.risk import RiskConfig, crm_loss, erm_loss, importance_weights
 from cat_lab.trainer import TrainConfig, Trainer, evaluate, train
 
 __version__ = "0.1.0"
@@ -33,7 +33,6 @@ __all__ = [
     "MixPlan",
     "ModelConfig",
     "RiskConfig",
-    "RiskWeights",
     "SCMSpec",
     "Tape",
     "Tensor",

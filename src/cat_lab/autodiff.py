@@ -159,49 +159,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return detach(self)
 
-    def sum(self, axis=None) -> "Tensor":
-        return reduce_sum(self, axis)
-
-    def mean(self, axis=None) -> "Tensor":
-        return reduce_mean(self, axis)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-    def transpose(self, axes=None) -> "Tensor":
-        return transpose(self, axes)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return smul(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return smul(self, 1.0 / float(other))
-        return div(self, other)
-
-    def __neg__(self):
-        return smul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -978,12 +935,6 @@ class GradientMap:
     def __contains__(self, key) -> bool:
         k = self._key(key)
         return k is not None and k in self._by_node
-
-    def __len__(self) -> int:
-        return len(self._by_node)
-
-    def items(self):
-        return self._by_node.items()
 
 
 def backward(loss: Tensor) -> GradientMap:

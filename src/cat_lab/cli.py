@@ -309,21 +309,25 @@ def _infer_task_kind(config: dict, data_dir: Path | None) -> str:
     return kind
 
 
-def _load_data_dir(data_dir: Path, task: str) -> tuple[Dataset, dict[str, Dataset]]:
+def _load_data_dir(data_dir: Path, task: str,
+                   n_classes: int) -> tuple[Dataset, dict[str, Dataset]]:
+    """Every split under ``data_dir``, checked against the task and the model."""
     train_path = data_dir / "train.jsonl"
     if not train_path.exists():
         raise ConfigError(f"no train.jsonl under {data_dir}")
-    train_set = load_jsonl(train_path)
-    eval_sets = {}
+    loaded = [("train", train_path, load_jsonl(train_path))]
     for path in sorted(data_dir.glob("test*.jsonl")):
         name = path.stem.removeprefix("test").lstrip("_") or "test"
-        eval_sets[name] = load_jsonl(path)
-    for name, split in [("train", train_set), *eval_sets.items()]:
+        loaded.append((name, path, load_jsonl(path)))
+    for name, path, split in loaded:
         if split.task != task:
             raise DatasetFormatError(
                 f"{data_dir}: the {name} split holds {split.task} records, "
                 f"but the task is {task}")
-    return train_set, eval_sets
+        if task == CLASSIFICATION and len(split) and split.labels.max() >= n_classes:
+            raise ConfigError(f"{path}: label {split.labels.max()} is out of range "
+                              f"[0, {n_classes}) for the model")
+    return loaded[0][2], {name: split for name, _, split in loaded[1:]}
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +423,9 @@ def run_training(config: dict) -> dict:
     if not seeds:
         raise ConfigError("train: empty seed list")
 
+    train_set, eval_sets = _load_data_dir(data_dir, task, model_config.n_classes)
     out = Path(config.get("out", "runs/latest"))
     out.mkdir(parents=True, exist_ok=True)
-    train_set, eval_sets = _load_data_dir(data_dir, task)
 
     per_seed = {}
     for seed in seeds:

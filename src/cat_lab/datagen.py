@@ -26,8 +26,6 @@ import numpy as np
 CLASSIFICATION = "classification"
 SPAN = "span"
 
-PAD_ID = 0
-
 
 class DatasetFormatError(ValueError):
     """A dataset file violates the record schema or its invariants."""
@@ -76,10 +74,6 @@ class SCMSpec:
 
     # -- classification token roles (disjoint by construction) --------------
 
-    def causal_tokens(self, label: int) -> np.ndarray:
-        base = 1 + label * self.causal_tokens_per_class
-        return np.arange(base, base + self.causal_tokens_per_class)
-
     def all_causal_tokens(self) -> np.ndarray:
         return np.arange(1, 1 + self.n_classes * self.causal_tokens_per_class)
 
@@ -90,9 +84,6 @@ class SCMSpec:
     def filler_tokens(self) -> np.ndarray:
         first = 1 + self.n_classes * (self.causal_tokens_per_class + 1)
         return np.arange(first, self.vocab_size)
-
-    def label_of_causal_token(self, token: int) -> int:
-        return (int(token) - 1) // self.causal_tokens_per_class
 
     # -- span-task token roles ----------------------------------------------
 
@@ -113,11 +104,6 @@ class SCMSpec:
         if self.typed_answers:
             base += self.answer_token_count
         return np.arange(base, self.vocab_size)
-
-    @property
-    def span_answer_len(self) -> int:
-        """Untyped answers are not type-recoverable, so their length is fixed."""
-        return self.max_answer_len if self.typed_answers else 1
 
     @property
     def context_len(self) -> int:

@@ -43,10 +43,6 @@ class BetaParams:
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError(f"Beta parameters must be positive, got {self}")
 
-    @property
-    def mean(self) -> float:
-        return self.alpha / (self.alpha + self.beta)
-
 
 def _gamma_at_least_one(shape_param: float, rng: np.random.Generator,
                         n: int) -> np.ndarray:

@@ -5,12 +5,15 @@ bounded ratio of prediction confidences: confidence on the original hidden
 state over confidence on its counterfactual.  Samples whose counterfactual
 collapses the model's confidence get upweighted (up to the bound), samples
 whose predictions are robust to interpolation keep weight ~1.  The ratio
-is always detached: it acts as an importance-sampling coefficient, as in
-counterfactual risk minimization, not as a differentiated quantity.
+is a numpy array computed from plain probability arrays: it acts as an
+importance-sampling coefficient, as in counterfactual risk minimization, not
+as a differentiated quantity.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,25 +56,17 @@ class RiskConfig:
             raise ValueError(f"unknown estimator {self.estimator!r}")
 
 
-@dataclass
-class RiskWeights:
-    """Per-sample confidence ratio and its bounded form."""
-
-    raw: Tensor
-    bounded: Tensor
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _checked_labels(labels, n_classes: int) -> np.ndarray:
+    labels = np.asarray(labels)
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        raise ValueError(f"label out of range [0, {n_classes})")
+    return labels
 
 
 def cross_entropy_per_sample(logits, labels) -> Tensor:
     """Negative log-likelihood of each sample's label, shape (batch,)."""
-    logits = _as_tensor(logits)
-    labels = np.asarray(labels)
-    n_classes = logits.shape[-1]
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ValueError(f"label out of range [0, {n_classes})")
+    logits = ad._as_tensor(logits)
+    labels = _checked_labels(labels, logits.shape[-1])
     return ad.smul(ad.take_last(ad.log_softmax(logits), labels), -1.0)
 
 
@@ -92,12 +87,16 @@ def erm_loss(logits, labels) -> Tensor:
     return ad.reduce_mean(per_sample_loss(logits, labels))
 
 
-def max_prob(probs) -> Tensor:
-    """Row-wise maximum of a batch of distributions."""
-    probs = _as_tensor(probs)
-    sums = probs.data.sum(axis=-1)
+def _check_rows(probs: np.ndarray) -> None:
+    sums = probs.sum(axis=-1)
     if np.any(np.abs(sums - 1.0) > 1e-6):
         raise ValueError("max_prob: rows must sum to 1 (within 1e-6)")
+
+
+def max_prob(probs) -> Tensor:
+    """Row-wise maximum of a batch of distributions."""
+    probs = ad._as_tensor(probs)
+    _check_rows(probs.data)
     return ad.max_last(probs)
 
 
@@ -108,70 +107,65 @@ def prediction_terms(outputs, labels) -> tuple[Tensor, Tensor]:
     product of the start and end max-probabilities.
     """
     loss = per_sample_loss(outputs, labels)
-    if isinstance(outputs, tuple):
-        start_logits, end_logits = outputs
-        confidence = ad.mul(
-            max_prob(ad.softmax(start_logits)), max_prob(ad.softmax(end_logits))
-        )
-    else:
-        confidence = max_prob(ad.softmax(outputs))
-    return loss, confidence
+    heads = outputs if isinstance(outputs, tuple) else (outputs,)
+    return loss, functools.reduce(ad.mul, (max_prob(ad.softmax(h)) for h in heads))
 
 
-def _confidence(probs, labels, estimator: str) -> Tensor:
+def _confidence(probs, labels, estimator: str) -> np.ndarray:
+    """Per-sample confidence; for span outputs, the product over both heads."""
+    heads = probs if isinstance(probs, tuple) else (probs,)
     if estimator == TRUE_LABEL_PROB:
         if labels is None:
             raise ValueError("true_label_prob estimator needs labels")
-        if isinstance(probs, tuple):
-            return ad.mul(
-                ad.take_last(_as_tensor(probs[0]), labels[0]),
-                ad.take_last(_as_tensor(probs[1]), labels[1]),
-            )
-        return ad.take_last(_as_tensor(probs), labels)
-    if isinstance(probs, tuple):
-        return ad.mul(max_prob(probs[0]), max_prob(probs[1]))
-    return max_prob(probs)
+        head_labels = labels if isinstance(probs, tuple) else (labels,)
+        return math.prod(
+            np.take_along_axis(p, _checked_labels(y, p.shape[-1])[:, None], axis=-1)[:, 0]
+            for p, y in zip(heads, head_labels))
+    for p in heads:
+        _check_rows(p)
+    return math.prod(p.max(axis=-1) for p in heads)
 
 
 def importance_ratio(probs_original, probs_counterfactual, config: RiskConfig,
-                     labels=None) -> Tensor:
+                     labels=None) -> np.ndarray:
     """Unbounded per-sample ratio of original to counterfactual confidence.
 
-    The ratio is a constant, detached from any tape its inputs are on.  The
-    denominator is floored at 1e-12 so a collapsed counterfactual cannot
-    produce infinities before bounding; an exactly zero confidence is not a
-    distribution and raises ``ZeroConfidenceError``.
+    Probabilities are arrays, or a tuple of (start, end) arrays for span
+    outputs.  The denominator is floored at 1e-12 so a collapsed
+    counterfactual cannot produce infinities before bounding; an exactly zero
+    confidence is not a distribution and raises ``ZeroConfidenceError``.
     """
     num = _confidence(probs_original, labels, config.estimator)
     den = _confidence(probs_counterfactual, labels, config.estimator)
-    if np.any(den.data <= 0.0):
+    if np.any(den <= 0.0):
         raise ZeroConfidenceError(
             "importance ratio: counterfactual confidence is zero; "
             "predictions are not a probability distribution"
         )
-    return ad.div(num, ad.clamp(den, _DENOM_FLOOR, None)).detach()
+    return num / np.clip(den, _DENOM_FLOOR, np.inf)
 
 
-def bound_weights(omega, config: RiskConfig) -> Tensor:
+def bound_weights(omega, config: RiskConfig) -> np.ndarray:
     """Clip weights into [lower, upper]; identity inside the interval."""
-    return ad.clamp(_as_tensor(omega), config.lower, config.upper)
+    return np.clip(omega, config.lower, config.upper)
 
 
 def importance_weights(probs_original, probs_counterfactual, config: RiskConfig,
-                       labels=None) -> RiskWeights:
+                       labels=None) -> np.ndarray:
+    """Bounded importance ratios: the per-sample weights of ``crm_loss``."""
     raw = importance_ratio(probs_original, probs_counterfactual, config, labels)
-    return RiskWeights(raw=raw, bounded=bound_weights(raw, config))
+    return bound_weights(raw, config)
 
 
 def crm_loss(logits, labels, weights) -> Tensor:
-    """Weighted mean of per-sample losses.
+    """Weighted mean of per-sample losses; ``weights`` are constants.
 
     With all weights exactly 1 this is bit-identical to ``erm_loss``.
     """
-    bounded = weights.bounded if isinstance(weights, RiskWeights) else _as_tensor(weights)
+    weights = ad._as_tensor(weights)
     losses = per_sample_loss(logits, labels)
-    if bounded.shape != losses.shape:
+    if weights.shape != losses.shape:
         raise ValueError(
-            f"crm_loss: {bounded.shape[0]} weights for {losses.shape[0]} samples"
+            f"crm_loss: {weights.shape[0]} weights for {losses.shape[0]} samples"
         )
-    return ad.reduce_mean(ad.mul(bounded, losses))
+    return ad.reduce_mean(ad.mul(weights, losses))

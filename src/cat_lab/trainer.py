@@ -286,8 +286,8 @@ class Trainer:
         return outputs if self.task == SPAN else (outputs,)
 
     def _probs(self, heads):
-        """Softmax of each head's logits, off the tape: the weights are constants."""
-        probs = tuple(ad.softmax(ad.detach(h)) for h in heads)
+        """Softmax of each head's logit array: the weights are constants."""
+        probs = tuple(ad._softmax_last(h) for h in heads)
         return probs if self.task == SPAN else probs[0]
 
     def _position_mask(self, dataset: Dataset, idx: np.ndarray):
@@ -423,8 +423,8 @@ class Trainer:
 
             try:
                 weights = importance_weights(
-                    self._probs(self._heads(outputs)), self._probs(cf_heads), cfg.risk,
-                    labels=labels,
+                    self._probs([o.data for o in self._heads(outputs)]),
+                    self._probs(cf_heads), cfg.risk, labels=labels,
                 )
             except ZeroConfidenceError as exc:
                 raise DivergenceError(
@@ -454,7 +454,7 @@ class Trainer:
             "erm_loss": erm_value,
             "crm_loss": crm_value,
             "mean_abs_lambda": float(np.mean(np.abs(lam))),
-            "mean_weight": float(weights.bounded.data.mean()),
+            "mean_weight": float(weights.mean()),
             "cal_param_delta": cal_param_delta,
         }
 
@@ -520,14 +520,13 @@ def train(model_config: ModelConfig, config: TrainConfig, train_set: Dataset,
 def _decode_spans(start_logits: np.ndarray, end_logits: np.ndarray,
                   segments: np.ndarray | None, max_len: int) -> np.ndarray:
     b, s = start_logits.shape
-    scores = start_logits[:, :, None] + end_logits[:, None, :]
-    si, ei = np.meshgrid(np.arange(s), np.arange(s), indexing="ij")
-    invalid = (ei < si) | (ei - si >= max_len)
-    scores[:, invalid] = -np.inf
+    pos = np.arange(s)
+    length = pos[None, :] - pos[:, None]  # [start, end] -> end - start
+    valid = (length >= 0) & (length < max_len)
     if segments is not None:
         ctx = segments == 1
-        scores[~ctx[:, :, None] & np.ones((b, s, s), dtype=bool)] = -np.inf
-        scores[~ctx[:, None, :] & np.ones((b, s, s), dtype=bool)] = -np.inf
+        valid = valid & ctx[:, :, None] & ctx[:, None, :]
+    scores = np.where(valid, start_logits[:, :, None] + end_logits[:, None, :], -np.inf)
     flat = scores.reshape(b, -1).argmax(axis=1)
     return np.stack([flat // s, flat % s], axis=1)
 

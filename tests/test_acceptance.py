@@ -36,6 +36,7 @@ from cat_lab.risk import (
     bound_weights,
     crm_loss,
     erm_loss,
+    importance_ratio,
     importance_weights,
 )
 from cat_lab.trainer import Trainer, TrainConfig, evaluate, train
@@ -121,13 +122,13 @@ def test_criterion_3_degenerations():
 
     # (b) pinned unit weights: weighted risk equals the empirical risk bitwise
     labels = rng.integers(0, 3, 6)
-    probs = ad.softmax(orig_logits)
+    probs = ad.softmax(orig_logits).data
     weights = importance_weights(probs, probs, RiskConfig(lower=1.0, upper=1.0))
     assert crm_loss(orig_logits, labels, weights).item() == \
         erm_loss(orig_logits, labels).item()
 
     # (c) equal distributions give ratio exactly 1
-    assert np.array_equal(weights.raw.data, np.ones(6))
+    assert np.array_equal(importance_ratio(probs, probs, RiskConfig()), np.ones(6))
 
     # (d) zero inner steps: the full algorithm equals its no-ascent ablation
     spec = SCMSpec(vocab_size=32, causal_tokens_per_class=4, seed=3)
@@ -175,17 +176,16 @@ def test_criterion_5_bound_function():
     for lower, upper in ((0.0, 10.0), (0.7, 10.0), (1.0, 1.0)):
         cfg = RiskConfig(lower=lower, upper=upper)
         x = np.sort(rng.uniform(0, 20, size=200))
-        bounded = bound_weights(Tensor(x), cfg).data
+        bounded = bound_weights(x, cfg)
         assert np.all(np.diff(bounded) >= 0), "not monotone"
         assert np.all((bounded >= lower) & (bounded <= upper))
-        np.testing.assert_array_equal(bound_weights(Tensor(bounded), cfg).data,
-                                      bounded)
+        np.testing.assert_array_equal(bound_weights(bounded, cfg), bounded)
     classification = RiskConfig(lower=0.0, upper=10.0)
-    assert bound_weights(Tensor([3.0]), classification).data[0] == 3.0
-    assert bound_weights(Tensor([12.0]), classification).data[0] == 10.0
-    assert bound_weights(Tensor([0.0]), classification).data[0] == 0.0
+    assert bound_weights(np.array([3.0]), classification)[0] == 3.0
+    assert bound_weights(np.array([12.0]), classification)[0] == 10.0
+    assert bound_weights(np.array([0.0]), classification)[0] == 0.0
     span = RiskConfig(lower=0.7, upper=10.0)
-    assert bound_weights(Tensor([0.5]), span).data[0] == 0.7
+    assert bound_weights(np.array([0.5]), span)[0] == 0.7
     report(5, "monotone, idempotent, range-respecting; [0,10] and "
               "[0.7,10] instantiations spot-checked")
 

@@ -409,16 +409,6 @@ def test_closed_tape_frees_what_its_tensors_no_longer_hold():
     np.testing.assert_array_equal(grads[x].data, 2.0 * x.data)
 
 
-def test_operators_match_functions():
-    a = Tensor(_rand((2, 3)))
-    b = Tensor(_rand((2, 3)))
-    np.testing.assert_array_equal((a + b).data, ad.add(a, b).data)
-    np.testing.assert_array_equal((a - b).data, ad.sub(a, b).data)
-    np.testing.assert_array_equal((a * 2.0).data, ad.smul(a, 2.0).data)
-    np.testing.assert_array_equal((-a).data, ad.smul(a, -1.0).data)
-    np.testing.assert_array_equal((a / b).data, ad.div(a, b).data)
-
-
 def _attention_chain(x, wq, wk, wv, wo, bo, n_heads, key_pad=None):
     """``attention`` as a chain of the small primitives: the reference."""
     b, s, d = x.shape

@@ -138,6 +138,40 @@ def test_train_corrupt_dataset_is_data_error(tmp_path):
     assert code == EXIT_DATA
 
 
+def test_train_label_out_of_range_fails_before_output(dataset_dir, tmp_path, capsys):
+    train = dataset_dir / "train.jsonl"
+    lines = train.read_text().splitlines()
+    record = json.loads(lines[3])
+    record["label"] = 9
+    lines[3] = json.dumps(record)
+    train.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(dataset_dir), "--preset", "erm",
+                 "--out", str(out), *FAST_OVERRIDES])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "train.jsonl" in err and "label 9" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_train_divergence_keeps_completed_steps_and_finite_rescue(tmp_path, capsys):
+    data = tmp_path / "data"
+    spec = write_spec(tmp_path / "spec.json", n_train=60)
+    assert main(["generate", "--spec", str(spec), "--out", str(data)]) == EXIT_OK
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(data), "--preset", "erm", "--out", str(out),
+                 "--set", "train.base_lr=1e200", "--set", "train.lr_warmup_steps=0",
+                 "--set", "train.warmup_steps=0", "--set", "train.max_steps=20"])
+    assert code == EXIT_DIVERGED
+    assert "erm loss became non-finite at step 1" in capsys.readouterr().err
+    with open(out / "seed_0" / "metrics.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["step"] for row in rows] == ["1"]
+    with np.load(out / "seed_0" / "model.npz") as saved:
+        assert all(np.all(np.isfinite(saved[k])) for k in saved.files)
+
+
 def test_train_rejects_unknown_config_field(dataset_dir, tmp_path):
     code = main(["train", "--data", str(dataset_dir), "--preset", "cat",
                  "--out", str(tmp_path / "x"), "--set", "train.bogus=3"])

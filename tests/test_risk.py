@@ -12,7 +12,6 @@ from cat_lab import risk
 from cat_lab.autodiff import Tape, Tensor, backward
 from cat_lab.risk import (
     RiskConfig,
-    RiskWeights,
     bound_weights,
     crm_loss,
     cross_entropy_per_sample,
@@ -71,59 +70,94 @@ def test_max_prob_validates_rows():
 
 def test_importance_ratio_arithmetic():
     cfg = RiskConfig()
-    orig = Tensor([[0.9, 0.1], [0.5, 0.5], [0.5, 0.5]])
-    cf = Tensor([[0.3, 0.7], [0.5, 0.5], [1.0, 0.0]])
-    ratio = importance_ratio(orig, cf, cfg).data
+    orig = np.array([[0.9, 0.1], [0.5, 0.5], [0.5, 0.5]])
+    cf = np.array([[0.3, 0.7], [0.5, 0.5], [1.0, 0.0]])
+    ratio = importance_ratio(orig, cf, cfg)
     assert ratio[0] == pytest.approx(0.9 / 0.7, abs=1e-12)
     assert ratio[1] == 1.0  # identical distributions give exactly 1
     assert ratio[2] == 0.5
 
 
 def test_importance_ratio_equal_distributions_is_exactly_one():
-    probs = ad.softmax(Tensor(np.random.default_rng(0).normal(size=(5, 3))))
-    ratio = importance_ratio(probs, probs, RiskConfig()).data
+    probs = ad.softmax(Tensor(np.random.default_rng(0).normal(size=(5, 3)))).data
+    ratio = importance_ratio(probs, probs, RiskConfig())
     np.testing.assert_array_equal(ratio, 1.0)
 
 
 def test_importance_ratio_spec_values():
     cfg = RiskConfig()
-    a = Tensor([[0.9, 0.05, 0.05]])
-    b = Tensor([[0.3, 0.4, 0.3]])
+    a = np.array([[0.9, 0.05, 0.05]])
+    b = np.array([[0.3, 0.4, 0.3]])
     # max 0.9 over max 0.4 -> 2.25; and the 0.9/0.3 case via a two-class row
-    assert importance_ratio(a, b, cfg).data[0] == pytest.approx(2.25, abs=1e-12)
-    c = Tensor([[0.9, 0.1]])
-    d = Tensor([[0.3, 0.7]])
-    assert importance_ratio(c, d, cfg).data[0] == pytest.approx(0.9 / 0.7, abs=1e-12)
+    assert importance_ratio(a, b, cfg)[0] == pytest.approx(2.25, abs=1e-12)
+    c = np.array([[0.9, 0.1]])
+    d = np.array([[0.3, 0.7]])
+    assert importance_ratio(c, d, cfg)[0] == pytest.approx(0.9 / 0.7, abs=1e-12)
 
 
 def test_importance_ratio_rejects_zero_denominator():
     cfg = RiskConfig(estimator=risk.TRUE_LABEL_PROB)
-    orig = Tensor([[0.9, 0.1]])
-    cf = Tensor([[1.0, 0.0]])
+    orig = np.array([[0.9, 0.1]])
+    cf = np.array([[1.0, 0.0]])
     with pytest.raises(ValueError, match="zero"):
         importance_ratio(orig, cf, cfg, labels=np.array([1]))
 
 
 def test_true_label_estimator():
     cfg = RiskConfig(estimator=risk.TRUE_LABEL_PROB)
-    orig = Tensor([[0.2, 0.8]])
-    cf = Tensor([[0.5, 0.5]])
-    ratio = importance_ratio(orig, cf, cfg, labels=np.array([0])).data
+    orig = np.array([[0.2, 0.8]])
+    cf = np.array([[0.5, 0.5]])
+    ratio = importance_ratio(orig, cf, cfg, labels=np.array([0]))
     assert ratio[0] == pytest.approx(0.4, abs=1e-12)
+
+
+@pytest.mark.parametrize("label", [-1, 2])
+def test_true_label_estimator_rejects_out_of_range_labels(label):
+    cfg = RiskConfig(estimator=risk.TRUE_LABEL_PROB)
+    probs = np.array([[0.2, 0.8]])
+    with pytest.raises(ValueError, match="out of range"):
+        importance_ratio(probs, probs, cfg, labels=np.array([label]))
+
+
+SPAN_ORIGINAL = (np.array([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6]]),
+                 np.array([[0.1, 0.8, 0.1], [0.5, 0.25, 0.25]]))
+SPAN_COUNTERFACTUAL = (np.array([[0.4, 0.4, 0.2], [0.1, 0.7, 0.2]]),
+                       np.array([[0.3, 0.5, 0.2], [0.2, 0.2, 0.6]]))
+
+
+def test_span_max_prob_ratio_multiplies_heads():
+    ratio = importance_ratio(SPAN_ORIGINAL, SPAN_COUNTERFACTUAL, RiskConfig())
+    np.testing.assert_allclose(ratio, [(0.6 * 0.8) / (0.4 * 0.5),
+                                       (0.6 * 0.5) / (0.7 * 0.6)], rtol=1e-12)
+
+
+def test_span_true_label_ratio_multiplies_heads():
+    cfg = RiskConfig(estimator=risk.TRUE_LABEL_PROB)
+    labels = (np.array([0, 2]), np.array([1, 0]))
+    ratio = importance_ratio(SPAN_ORIGINAL, SPAN_COUNTERFACTUAL, cfg, labels=labels)
+    np.testing.assert_allclose(ratio, [(0.6 * 0.8) / (0.4 * 0.5),
+                                       (0.6 * 0.5) / (0.2 * 0.2)], rtol=1e-12)
+
+
+@pytest.mark.parametrize("probs", [np.array([[0.2, 0.8]]), SPAN_ORIGINAL])
+def test_true_label_estimator_needs_labels(probs):
+    cfg = RiskConfig(estimator=risk.TRUE_LABEL_PROB)
+    with pytest.raises(ValueError, match="needs labels"):
+        importance_weights(probs, probs, cfg)
 
 
 def test_bound_table_instantiations():
     classification = RiskConfig(lower=0.0, upper=10.0)
-    assert bound_weights(Tensor([3.0]), classification).data[0] == 3.0
-    assert bound_weights(Tensor([12.0]), classification).data[0] == 10.0
-    assert bound_weights(Tensor([0.0]), classification).data[0] == 0.0
+    assert bound_weights(np.array([3.0]), classification)[0] == 3.0
+    assert bound_weights(np.array([12.0]), classification)[0] == 10.0
+    assert bound_weights(np.array([0.0]), classification)[0] == 0.0
     span = RiskConfig(lower=0.7, upper=10.0)
-    assert bound_weights(Tensor([0.5]), span).data[0] == 0.7
+    assert bound_weights(np.array([0.5]), span)[0] == 0.7
 
 
 def test_degenerate_interval_pins_weights():
     cfg = RiskConfig(lower=1.0, upper=1.0)
-    out = bound_weights(Tensor([0.0, 0.5, 1.0, 7.3]), cfg).data
+    out = bound_weights(np.array([0.0, 0.5, 1.0, 7.3]), cfg)
     np.testing.assert_array_equal(out, 1.0)
 
 
@@ -136,12 +170,12 @@ def test_degenerate_interval_pins_weights():
 )
 def test_bound_monotone_and_idempotent(lower, width, x, y):
     cfg = RiskConfig(lower=lower, upper=lower + width)
-    bx = bound_weights(Tensor([x]), cfg).data[0]
-    by = bound_weights(Tensor([y]), cfg).data[0]
+    bx = bound_weights(np.array([x]), cfg)[0]
+    by = bound_weights(np.array([y]), cfg)[0]
     if x <= y:
         assert bx <= by
     assert cfg.lower <= bx <= cfg.upper
-    assert bound_weights(Tensor([bx]), cfg).data[0] == bx
+    assert bound_weights(np.array([bx]), cfg)[0] == bx
 
 
 def test_config_validation():
@@ -157,13 +191,13 @@ def test_crm_equals_erm_with_unit_weights():
     rng = np.random.default_rng(8)
     logits = Tensor(rng.normal(size=(6, 3)))
     labels = rng.integers(0, 3, 6)
-    weights = RiskWeights(raw=Tensor(np.ones(6)), bounded=Tensor(np.ones(6)))
+    weights = np.ones(6)
     assert crm_loss(logits, labels, weights).item() == erm_loss(logits, labels).item()
 
 
 def test_crm_weighted_mean_arithmetic():
     logits, labels = logits_with_losses([0.3, 0.9])
-    weights = Tensor(np.array([2.0, 0.0]))
+    weights = np.array([2.0, 0.0])
     assert crm_loss(Tensor(logits), labels, weights).item() == pytest.approx(
         0.3, abs=1e-12
     )
@@ -175,14 +209,14 @@ def test_crm_is_weighted_mean_of_losses():
         losses = rng.uniform(0.05, 2.0, size=4)
         weights = rng.uniform(0.0, 3.0, size=4)
         logits, labels = logits_with_losses(losses)
-        got = crm_loss(Tensor(logits), labels, Tensor(weights)).item()
+        got = crm_loss(Tensor(logits), labels, weights).item()
         assert got == pytest.approx(np.mean(weights * losses), rel=1e-10)
 
 
 def test_crm_length_mismatch():
     logits, labels = logits_with_losses([0.3, 0.9])
     with pytest.raises(ValueError, match="crm_loss"):
-        crm_loss(Tensor(logits), labels, Tensor(np.ones(3)))
+        crm_loss(Tensor(logits), labels, np.ones(3))
 
 
 def test_same_prediction_degenerates_to_erm():
@@ -191,7 +225,7 @@ def test_same_prediction_degenerates_to_erm():
     rng = np.random.default_rng(13)
     logits = Tensor(rng.normal(size=(5, 3)))
     labels = rng.integers(0, 3, 5)
-    probs = ad.softmax(logits)
+    probs = ad.softmax(logits).data
     weights = importance_weights(probs, probs, RiskConfig(upper=10.0))
     assert crm_loss(logits, labels, weights).item() == erm_loss(logits, labels).item()
 
@@ -203,7 +237,8 @@ def test_detached_weights_block_counterfactual_gradient():
     cf_logits = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     with Tape():
         weights = importance_weights(
-            ad.softmax(logits_orig.detach()), ad.softmax(cf_logits), RiskConfig(),
+            ad.softmax(logits_orig.detach()).data, ad.softmax(cf_logits).data,
+            RiskConfig(),
         )
         grads = backward(crm_loss(logits_orig, labels, weights))
     assert grads.get(cf_logits) is None

@@ -23,6 +23,7 @@ from cat_lab.trainer import (
     Adam,
     DivergenceError,
     TrainConfig,
+    _decode_spans,
     evaluate,
     forward_to_head,
     resolve_schedule,
@@ -505,6 +506,25 @@ def test_span_f1_hand_example():
     assert f1[0] == pytest.approx(0.8, abs=1e-12)
     assert span_f1(np.array([[6, 8]]), np.array([[6, 8]]))[0] == 1.0
     assert span_f1(np.array([[1, 2]]), np.array([[6, 8]]))[0] == 0.0
+
+
+@pytest.mark.parametrize("with_segments", [False, True])
+def test_decode_spans_matches_brute_force(with_segments):
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        b, s, max_len = 5, int(rng.integers(2, 12)), int(rng.integers(1, 5))
+        # one decimal makes tied scores common: the first (start, end) must win
+        start, end = rng.normal(size=(2, b, s)).round(1)
+        segments = rng.integers(0, 2, size=(b, s)) if with_segments else None
+        got = _decode_spans(start, end, segments, max_len)
+        for row in range(b):
+            ctx = np.ones(s, dtype=bool) if segments is None else segments[row] == 1
+            candidates = [(start[row, i] + end[row, j], i, j)
+                          for i in range(s) for j in range(i, min(s, i + max_len))
+                          if ctx[i] and ctx[j]]
+            # no valid span decodes to (0, 0), where argmax over all -inf lands
+            _, i, j = max(candidates, key=lambda c: c[0], default=(None, 0, 0))
+            assert tuple(got[row]) == (i, j)
 
 
 def test_evaluate_oracle_span_model_scores_perfectly():
