@@ -3,7 +3,8 @@
 
 Train carries a fixed phrase in every example with class proportions
 10/80/10; test shifts them to 40/20/40.  A model that memorized the skewed
-prior pays for it at test time.
+prior pays for it at test time.  Every (preset, seed) run goes side by
+side on the CPUs this process may use.
 """
 
 import argparse
@@ -11,9 +12,19 @@ from dataclasses import replace
 
 import numpy as np
 
-from cat_lab.cli import CASE_STUDY, preset_model_config, preset_train_config
+from cat_lab.cli import CASE_STUDY, preset_model_config, preset_train_config, run_seeds
 from cat_lab.datagen import generate_case_study
 from cat_lab.trainer import evaluate, train
+
+PRESETS = ("erm", "cat")
+
+
+def run(job):
+    """Test accuracy of one (preset, seed) run."""
+    preset, seed, model_config, train_set, test_set = job
+    config = replace(preset_train_config(preset, CASE_STUDY), seed=seed)
+    model, _ = train(model_config, config, train_set, task="classification")
+    return evaluate(model, test_set, "classification")["accuracy"]
 
 
 def main() -> None:
@@ -28,19 +39,12 @@ def main() -> None:
     )
     model_config = preset_model_config(CASE_STUDY)
     print(f"train priors 10/80/10, test priors 40/20/40, n={args.n}")
-    for preset in ("erm", "cat"):
-        config = preset_train_config(preset, CASE_STUDY)
-        accs = [
-            evaluate(
-                train(model_config, replace(config, seed=s), train_set,
-                      task="classification")[0],
-                test_set, "classification",
-            )["accuracy"]
-            for s in range(args.seeds)
-        ]
-        accs = np.array(accs)
-        print(f"{preset:8s} test acc {accs.round(3)}  "
-              f"mean {accs.mean():.4f} ± {accs.std():.4f}")
+    accs = run_seeds(run, [(preset, seed, model_config, train_set, test_set)
+                           for preset in PRESETS for seed in range(args.seeds)])
+    for i, preset in enumerate(PRESETS):
+        acc = np.array(accs[i * args.seeds:(i + 1) * args.seeds])
+        print(f"{preset:8s} test acc {acc.round(3)}  "
+              f"mean {acc.mean():.4f} ± {acc.std():.4f}")
 
 
 if __name__ == "__main__":

@@ -6,17 +6,29 @@ Generates the default synthetic task (3 classes, confound strength 0.95,
 seeds, and prints mean +/- sd accuracy per split.  The out-of-distribution
 column is the debiasing headline: the confounder token is shuffled there,
 so accuracy above the ERM baseline means the model leaned less on it.
+Every (preset, seed) run goes side by side on the CPUs this process may use.
 """
 
 import argparse
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from cat_lab.cli import preset_model_config, preset_train_config
+from cat_lab.cli import preset_model_config, preset_train_config, run_seeds
 from cat_lab.datagen import SCMSpec, generate_classification
 from cat_lab.trainer import evaluate, train
-from dataclasses import replace
+
+PRESETS = ("erm", "cat-star", "cat")
+
+
+def run(job):
+    """(iid, ood) accuracy of one (preset, seed) run."""
+    preset, seed, model_config, train_set, iid, ood = job
+    config = replace(preset_train_config(preset, "classification"), seed=seed)
+    model, _ = train(model_config, config, train_set, task="classification")
+    return (evaluate(model, iid, "classification")["accuracy"],
+            evaluate(model, ood, "classification")["accuracy"])
 
 
 def main() -> None:
@@ -34,20 +46,15 @@ def main() -> None:
 
     print(f"train {len(train_set)}  iid {len(iid)}  ood {len(ood)}  "
           f"rho={args.rho}  seeds={args.seeds}")
-    print(f"{'preset':10s} {'iid acc':>16s} {'ood acc':>16s} {'time':>8s}")
-    for preset in ("erm", "cat-star", "cat"):
-        config = preset_train_config(preset, "classification")
-        started = time.perf_counter()
-        rows = []
-        for seed in range(args.seeds):
-            model, _ = train(model_config, replace(config, seed=seed),
-                             train_set, task="classification")
-            rows.append((evaluate(model, iid, "classification")["accuracy"],
-                         evaluate(model, ood, "classification")["accuracy"]))
-        elapsed = time.perf_counter() - started
-        acc = np.array(rows)
+    started = time.perf_counter()
+    rows = run_seeds(run, [(preset, seed, model_config, train_set, iid, ood)
+                           for preset in PRESETS for seed in range(args.seeds)])
+    print(f"{'preset':10s} {'iid acc':>16s} {'ood acc':>16s}")
+    for i, preset in enumerate(PRESETS):
+        acc = np.array(rows[i * args.seeds:(i + 1) * args.seeds])
         print(f"{preset:10s} {acc[:,0].mean():8.4f}±{acc[:,0].std():.4f} "
-              f"{acc[:,1].mean():8.4f}±{acc[:,1].std():.4f} {elapsed:7.1f}s")
+              f"{acc[:,1].mean():8.4f}±{acc[:,1].std():.4f}")
+    print(f"{len(rows)} runs in {time.perf_counter() - started:.1f}s")
 
 
 if __name__ == "__main__":

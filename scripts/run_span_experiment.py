@@ -5,7 +5,8 @@ The answer is the position after a trigger token; during training a
 distractor token sits right after the answer 95% of the time, so a model
 can cheat by anchoring on it.  The ood split places the distractor
 uniformly.  Blending is restricted to non-answer context positions by
-default; pass --strategy to compare the other mixing variants.
+default; pass --strategy to compare the other mixing variants.  Every
+(preset, seed) run goes side by side on the CPUs this process may use.
 """
 
 import argparse
@@ -13,10 +14,23 @@ from dataclasses import replace
 
 import numpy as np
 
-from cat_lab.cli import preset_model_config, preset_train_config
+from cat_lab.cli import preset_model_config, preset_train_config, run_seeds
 from cat_lab.datagen import SCMSpec, generate_span_task
 from cat_lab.mixing import POSITION_STRATEGIES
 from cat_lab.trainer import evaluate, train
+
+PRESETS = ("erm", "cat")
+
+
+def run(job):
+    """(iid em, ood em, ood f1) of one (preset, seed) run."""
+    preset, seed, strategy, model_config, train_set, iid, ood = job
+    config = replace(preset_train_config(preset, "span"), span_mix_strategy=strategy,
+                     seed=seed)
+    model, _ = train(model_config, config, train_set, task="span")
+    r_iid = evaluate(model, iid, "span")
+    r_ood = evaluate(model, ood, "span")
+    return r_iid["em"], r_ood["em"], r_ood["f1"]
 
 
 def main() -> None:
@@ -37,17 +51,10 @@ def main() -> None:
 
     print(f"train {len(train_set)}  rho={args.rho}  mixing={args.strategy}")
     print(f"{'preset':8s} {'iid em':>14s} {'ood em':>14s} {'ood f1':>14s}")
-    for preset in ("erm", "cat"):
-        config = replace(preset_train_config(preset, "span"),
-                         span_mix_strategy=args.strategy)
-        rows = []
-        for seed in range(args.seeds):
-            model, _ = train(model_config, replace(config, seed=seed),
-                             train_set, task="span")
-            r_iid = evaluate(model, iid, "span")
-            r_ood = evaluate(model, ood, "span")
-            rows.append((r_iid["em"], r_ood["em"], r_ood["f1"]))
-        r = np.array(rows)
+    rows = run_seeds(run, [(preset, seed, args.strategy, model_config, train_set, iid, ood)
+                           for preset in PRESETS for seed in range(args.seeds)])
+    for i, preset in enumerate(PRESETS):
+        r = np.array(rows[i * args.seeds:(i + 1) * args.seeds])
         print(f"{preset:8s} {r[:,0].mean():7.3f}±{r[:,0].std():.3f} "
               f"{r[:,1].mean():7.3f}±{r[:,1].std():.3f} "
               f"{r[:,2].mean():7.3f}±{r[:,2].std():.3f}")

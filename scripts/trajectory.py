@@ -7,7 +7,8 @@ code path of the counterfactual step switched on (cross-batch partners,
 per-sample blend layers, the combined update, the true-label estimator).
 Data, model and trainer seeds are fixed, so the file is a pure function of
 the code: 10 warm-up steps, 40 preset steps, and an evaluation at steps 25
-and 50 on a small iid and ood split.
+and 50 on a small iid and ood split. The runs go side by side on the CPUs
+this process may use; where a run executes changes none of its numbers.
 
 ``compare A.json B.json`` prints, for each run and column, the largest
 absolute difference between the two files' histories, and exits 1 when any
@@ -53,22 +54,30 @@ def runs():
                     yield f"{task}/cat+{variant}", task, apply_to(config)
 
 
+def history(job):
+    """The metrics history of one (task, train config, data) run."""
+    from cat_lab.cli import preset_model_config
+    from cat_lab.trainer import train
+
+    task, config, (train_set, iid, ood) = job
+    return train(preset_model_config(task), config, train_set,
+                 {"iid": iid, "ood": ood}, task=task)[1]
+
+
 def write(path) -> None:
     # imported here so that ``compare`` runs without cat_lab on the path
-    from cat_lab.cli import preset_model_config
+    from cat_lab.cli import run_seeds
     from cat_lab.datagen import SCMSpec, generate_classification, generate_span_task
-    from cat_lab.trainer import train
 
     spec = SCMSpec(seed=DATA_SEED)
     data = {"classification": generate_classification(spec, N_TRAIN, N_TEST),
             "span": generate_span_task(spec, N_TRAIN, N_TEST)}
+    named = list(runs())
+    histories = run_seeds(history, [(task, config, data[task]) for _, task, config in named])
     out = {}
-    for name, task, config in runs():
-        train_set, iid, ood = data[task]
-        _, history = train(preset_model_config(task), config, train_set,
-                           {"iid": iid, "ood": ood}, task=task)
-        out[name] = history
-        print(f"{name}: {len(history)} steps", file=sys.stderr)
+    for (name, _, _), rows in zip(named, histories):
+        out[name] = rows
+        print(f"{name}: {len(rows)} steps", file=sys.stderr)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")

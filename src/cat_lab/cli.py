@@ -23,7 +23,6 @@ import sys
 import time
 import types
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 
@@ -252,16 +251,21 @@ def _input_file(path: str, what: str) -> Path:
 
 
 def _parse_seeds(value, base_seed: int) -> list[int]:
+    """Distinct seeds from a count or a list: two runs of one seed would share a directory."""
+    if isinstance(value, str):
+        try:
+            value = [int(p) for p in value.split(",") if p.strip()] if "," in value else int(value)
+        except ValueError:
+            raise ConfigError(f"seeds: expected a count or a comma-separated list of "
+                              f"integers, got {value!r}") from None
     if isinstance(value, int):
-        return [base_seed + i for i in range(value)]
-    if isinstance(value, list):
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
-            raise ConfigError(f"seeds: expected a list of integers, got {value!r}")
-        return value
-    text = str(value)
-    if "," in text:
-        return [int(p) for p in text.split(",") if p.strip()]
-    return [base_seed + i for i in range(int(text))]
+        value = [base_seed + i for i in range(value)]
+    elif not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
+        raise ConfigError(f"seeds: expected a list of integers, got {value!r}")
+    for i, seed in enumerate(value):
+        if seed in value[:i]:
+            raise ConfigError(f"seeds: seed {seed} is repeated")
+    return value
 
 
 # top-level run config keys and the JSON types they take ("_overrides" is
@@ -393,6 +397,65 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def run_seeds(fn, jobs: list) -> list:
+    """``[fn(job) for job in jobs]``, run side by side on every CPU this process may use.
+
+    Each ``fn(job)`` must be a pure function of its job, so where it runs
+    changes no result. One usable CPU (``taskset`` sets how many), one job,
+    or a call from inside a worker runs the jobs here, in order; otherwise a
+    spawned pool runs them, one BLAS thread per worker. The first failing
+    job's exception, in submission order, is raised here.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(len(jobs), cpus)
+    if workers <= 1 or multiprocessing.parent_process() is not None:
+        return [fn(job) for job in jobs]
+    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # each worker inherits it as it starts
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        return [f.result() for f in [pool.submit(fn, job) for job in jobs]]
+    finally:
+        pool.shutdown(cancel_futures=True)
+        if blas_threads is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = blas_threads
+
+
+def _train_seed(job: tuple) -> dict:
+    """Train one seed into ``run_dir``; its final evaluation."""
+    model_config, run_config, task, train_set, eval_sets, run_dir = job
+    started = time.perf_counter()
+    # the trainer checks the config against the model: fail before any output
+    trainer = seeded_trainer(model_config, run_config, task)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        history = trainer.train(train_set, eval_sets)
+    except DivergenceError as exc:
+        write_metrics_csv(exc.history, run_dir / "metrics.csv")
+        if exc.last_good is not None:
+            rescue = EncoderModel(model_config, rng=None)
+            rescue.load_snapshot(exc.last_good)
+            rescue.save(run_dir / "model.npz")
+        raise
+    wall = time.perf_counter() - started
+    # training evaluated every split after its last step; zero steps did not
+    final_eval = (trainer.last_eval if history
+                  else trainer.evaluate_splits(eval_sets))
+    trainer.model.save(run_dir / "model.npz")
+    write_metrics_csv(history, run_dir / "metrics.csv")
+    write_summary_json(
+        summarize_run(model_config, run_config, history, final_eval, wall),
+        run_dir / "summary.json",
+    )
+    return final_eval
+
+
 def run_training(config: dict) -> dict:
     """One multi-seed training run from a resolved config dict."""
     _check_run_config(config)
@@ -427,34 +490,12 @@ def run_training(config: dict) -> dict:
     out = Path(config.get("out", "runs/latest"))
     out.mkdir(parents=True, exist_ok=True)
 
-    per_seed = {}
-    for seed in seeds:
-        run_config = replace(base_train, seed=seed)
-        started = time.perf_counter()
-        # the trainer checks the config against the model: fail before any output
-        trainer = seeded_trainer(model_config, run_config, task)
-        run_dir = out / f"seed_{seed}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-        try:
-            history = trainer.train(train_set, eval_sets)
-        except DivergenceError as exc:
-            write_metrics_csv(exc.history, run_dir / "metrics.csv")
-            if exc.last_good is not None:
-                rescue = EncoderModel(model_config, rng=None)
-                rescue.load_snapshot(exc.last_good)
-                rescue.save(run_dir / "model.npz")
-            raise
-        wall = time.perf_counter() - started
-        # training evaluated every split after its last step; zero steps did not
-        final_eval = (trainer.last_eval if history
-                      else trainer.evaluate_splits(eval_sets))
-        trainer.model.save(run_dir / "model.npz")
-        write_metrics_csv(history, run_dir / "metrics.csv")
-        write_summary_json(
-            summarize_run(model_config, run_config, history, final_eval, wall),
-            run_dir / "summary.json",
-        )
-        per_seed[seed] = final_eval
+    per_seed = dict(zip(seeds, run_seeds(_train_seed, [
+        (model_config, replace(base_train, seed=seed), task, train_set, eval_sets,
+         out / f"seed_{seed}")
+        for seed in seeds
+    ])))
+    for seed, final_eval in per_seed.items():
         print(f"seed {seed}: " + "  ".join(
             f"{split} " + " ".join(f"{k}={v:.4f}" for k, v in report.items()
                                    if isinstance(v, float))
@@ -593,6 +634,11 @@ def _run_sweep_cell(payload: tuple) -> dict:
 
 def cmd_sweep(args) -> int:
     grid_spec = _load_json(Path(args.grid), "sweep grid")
+    if not isinstance(grid_spec, dict):
+        raise ConfigError(f"sweep grid: expected an object, got {type(grid_spec).__name__}")
+    unknown = sorted(grid_spec.keys() - {"base", "grid"})
+    if unknown:
+        raise ConfigError(f"sweep grid: unknown key {unknown[0]!r} (it takes 'base' and 'grid')")
     base = grid_spec.get("base")
     if not isinstance(base, dict):
         raise ConfigError("sweep grid needs a 'base' run config object")
@@ -617,12 +663,7 @@ def cmd_sweep(args) -> int:
         config["_overrides"] = overrides
         cells.append((cell_id, config))
 
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_run_sweep_cell, cells))
-    else:
-        results = [_run_sweep_cell(c) for c in cells]
-
+    results = run_seeds(_run_sweep_cell, cells)
     metric_cols = sorted({k for r in results for k in r["metrics"]})
     with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
         fh.write(",".join(["cell", "overrides", "status"] + metric_cols) + "\n")
@@ -675,7 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a hyperparameter grid")
     p.add_argument("--grid", required=True, help="sweep grid JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("dump-reprs",

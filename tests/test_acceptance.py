@@ -16,7 +16,13 @@ from scipy import stats
 from cat_lab import autodiff as ad
 from cat_lab.adversarial import AdversarialConfig, adversarial_objective
 from cat_lab.autodiff import Tape, Tensor, backward, finite_difference_grad
-from cat_lab.cli import CASE_STUDY, main, preset_model_config, preset_train_config
+from cat_lab.cli import (
+    CASE_STUDY,
+    main,
+    preset_model_config,
+    preset_train_config,
+    run_seeds,
+)
 from cat_lab.datagen import (
     SCMSpec,
     generate_case_study,
@@ -42,7 +48,7 @@ from cat_lab.risk import (
 from cat_lab.trainer import Trainer, TrainConfig, evaluate, train
 from oracles import beta_cdf, beta_moment
 from test_adversarial import _random_encoder_setup
-from test_autodiff import NAMES, _case_factories, check_grad, trial_seed
+from test_autodiff import CASES, NAMES, check_grad, trial_seed
 
 
 def report(criterion: int, text: str) -> None:
@@ -56,7 +62,7 @@ def test_criterion_1_gradient_correctness():
     started = time.perf_counter()
     for name in NAMES:
         for trial in range(100):
-            build, x = _case_factories(np.random.default_rng(trial_seed(name, trial)))[name]
+            build, x = CASES[name](np.random.default_rng(trial_seed(name, trial)))
             check_grad(build, x, tol=1e-5)
 
     for seed in range(100):
@@ -193,13 +199,26 @@ def test_criterion_5_bound_function():
 # -- 6-8: directional experiments ---------------------------------------------------
 
 
-def _run_preset(preset, task_kind, model_config, train_set, evals, seed,
-                **overrides):
+def _run_preset(job):
+    """Train one (preset, seed) arm and evaluate it on every split in ``evals``."""
+    preset, task_kind, model_config, train_set, evals, seed, overrides = job
     config = replace(preset_train_config(preset, task_kind), seed=seed,
                      **overrides)
     task = "span" if task_kind == "span" else "classification"
     model, _ = train(model_config, config, train_set, task=task)
     return {name: evaluate(model, ds, task) for name, ds in evals.items()}
+
+
+def _run_arms(arms, seeds, task_kind, model_config, train_set, evals):
+    """Every (arm, seed) run as one batch: ``{arm: [report per seed]}``.
+
+    Callers list the slowest arm first, so the runs that end the batch are
+    short ones and no worker idles long while another finishes.
+    """
+    jobs = [(preset, task_kind, model_config, train_set, evals, seed, overrides)
+            for preset, overrides in arms.values() for seed in seeds]
+    reports = iter(run_seeds(_run_preset, jobs))
+    return {name: [next(reports) for _ in seeds] for name in arms}
 
 
 def test_criterion_6_debiasing_experiment():
@@ -208,18 +227,13 @@ def test_criterion_6_debiasing_experiment():
     train_set, iid, ood = generate_classification(spec, 5000, 2000)
     assert len(train_set) == 5000 and spec.n_classes == 3
     model_config = preset_model_config("classification")
-    seeds = range(6)
-    means = {}
-    for preset in ("erm", "cat-star", "cat"):
-        rows = [
-            _run_preset(preset, "classification", model_config, train_set,
-                        {"iid": iid, "ood": ood}, seed)
-            for seed in seeds
-        ]
-        means[preset] = {
-            split: float(np.mean([r[split]["accuracy"] for r in rows]))
-            for split in ("iid", "ood")
-        }
+    runs = _run_arms({p: (p, {}) for p in ("cat", "cat-star", "erm")}, range(6),
+                     "classification", model_config, train_set, {"iid": iid, "ood": ood})
+    means = {
+        preset: {split: float(np.mean([r[split]["accuracy"] for r in rows]))
+                 for split in ("iid", "ood")}
+        for preset, rows in runs.items()
+    }
     elapsed = time.perf_counter() - started
 
     cat, erm, star = means["cat"], means["erm"], means["cat-star"]
@@ -233,47 +247,40 @@ def test_criterion_6_debiasing_experiment():
 
 
 def test_criterion_7_case_study():
+    started = time.perf_counter()
     train_set, test_set = generate_case_study(n_train=100, n_test=100, seed=5)
     np.testing.assert_array_equal(np.bincount(train_set.labels), [10, 80, 10])
     np.testing.assert_array_equal(np.bincount(test_set.labels), [40, 20, 40])
     model_config = preset_model_config(CASE_STUDY)
-    means = {}
-    for preset in ("erm", "cat"):
-        accs = [
-            _run_preset(preset, CASE_STUDY, model_config, train_set,
-                        {"test": test_set}, seed)["test"]["accuracy"]
-            for seed in range(5)
-        ]
-        means[preset] = float(np.mean(accs))
+    runs = _run_arms({p: (p, {}) for p in ("cat", "erm")}, range(5), CASE_STUDY,
+                     model_config, train_set, {"test": test_set})
+    means = {preset: float(np.mean([r["test"]["accuracy"] for r in rows]))
+             for preset, rows in runs.items()}
+    elapsed = time.perf_counter() - started
     assert means["cat"] > means["erm"], f"means {means}"
     report(7, f"prior-shift test acc erm {means['erm']:.3f} -> "
-              f"cat {means['cat']:.3f} over 5 seeds")
+              f"cat {means['cat']:.3f} over 5 seeds; {elapsed:.0f}s")
 
 
 def test_criterion_8_span_task():
+    started = time.perf_counter()
     spec = SCMSpec(seq_len=24, query_len=6, confound_strength=0.95, seed=7)
     train_set, iid, ood = generate_span_task(spec, 2000, 400)
     model_config = preset_model_config("span")
-    results = {}
-    for name, preset, overrides in (
-        ("erm", "erm", {}),
-        ("cat", "cat", {}),
-        ("cat-direct", "cat", {"span_mix_strategy": DIRECT}),
-    ):
-        rows = [
-            _run_preset(preset, "span", model_config, train_set,
-                        {"iid": iid, "ood": ood}, seed, **overrides)
-            for seed in range(5)
-        ]
-        results[name] = {
-            "iid_em": float(np.mean([r["iid"]["em"] for r in rows])),
-            "ood_em": float(np.mean([r["ood"]["em"] for r in rows])),
-        }
+    runs = _run_arms({"cat": ("cat", {}), "cat-direct": ("cat", {"span_mix_strategy": DIRECT}),
+                      "erm": ("erm", {})},
+                     range(5), "span", model_config, train_set, {"iid": iid, "ood": ood})
+    results = {
+        name: {"iid_em": float(np.mean([r["iid"]["em"] for r in rows])),
+               "ood_em": float(np.mean([r["ood"]["em"] for r in rows]))}
+        for name, rows in runs.items()
+    }
+    elapsed = time.perf_counter() - started
     assert results["cat"]["ood_em"] > results["erm"]["ood_em"], results
     report(8, "ood em erm {erm:.3f} -> cat(non-answer-context) {cat:.3f}; "
-              "direct strategy ran clean at {direct:.3f}".format(
+              "direct strategy ran clean at {direct:.3f}; {elapsed:.0f}s".format(
                   erm=results["erm"]["ood_em"], cat=results["cat"]["ood_em"],
-                  direct=results["cat-direct"]["ood_em"]))
+                  direct=results["cat-direct"]["ood_em"], elapsed=elapsed))
 
 
 # -- 9: determinism ---------------------------------------------------

@@ -46,14 +46,36 @@ def trial_seed(name: str, trial: int) -> int:
     return zlib.crc32(f"{name}/{trial}".encode())
 
 
-def _input_cases(name, fn, args, labels):
-    """One (build, x) case per differentiable argument of ``fn(*args)``."""
+def _u(rng, *shape, scale=2.0):
+    return rng.uniform(-scale, scale, shape)
+
+
+def _case(fn, shape=(2, 3), *constants, reduce=scalarize):
+    """A case factory for ``reduce(fn(x, *constants))``.
+
+    The factory draws the constants (one shape each), then ``x``.
+    """
+
+    def factory(rng):
+        consts = [Tensor(_u(rng, *c)) for c in constants]
+        return (lambda x: reduce(fn(x, *consts))), _u(rng, *shape)
+
+    return factory
+
+
+def _input_cases(name, fn, draw, labels):
+    """One case factory per differentiable argument of ``fn(*draw(rng))``."""
 
     def case(i):
-        def build(t):
-            return scalarize(fn(*args[:i], t, *args[i + 1:]))
+        def factory(rng):
+            args = draw(rng)
 
-        return build, args[i].data.copy()
+            def build(t):
+                return scalarize(fn(*args[:i], t, *args[i + 1:]))
+
+            return build, args[i].data.copy()
+
+        return factory
 
     return {f"{name}_{label}": case(i) for i, label in enumerate(labels)}
 
@@ -63,130 +85,115 @@ KEY_PAD = np.array([[False, True, False], [False, False, True]])
 ROW_PADDED = np.array([[True, True, True], [False, True, False]])
 
 
-def _case_factories(rng):
-    """One deterministic (build, x) pair per primitive, fresh constants."""
-    c23 = Tensor(rng.uniform(-2, 2, (2, 3)))
-    c423 = Tensor(rng.uniform(-2, 2, (4, 2, 3)))
-    w33 = Tensor(rng.uniform(-2, 2, (3, 3)))
-    w43 = Tensor(rng.uniform(-2, 2, (4, 3)))
-    x234 = rng.uniform(-2, 2, (2, 3, 4))
-    s3 = Tensor(rng.uniform(-2, 2, (3,)))
-    x25 = rng.uniform(-2, 2, (2, 5))
-    abs_x = rng.uniform(-2, 2, (2, 3))
-    abs_x += np.sign(abs_x) * 0.05  # keep away from the kink
-    max_x = rng.uniform(-2, 2, (3, 4))
-    max_x[np.arange(3), rng.integers(0, 4, 3)] += 3.0  # unique max per row
-    idx_last = rng.integers(0, 3, (2,))
-    mask23 = rng.random((2, 3)) < 0.4
-    # fused primitives: every differentiable input, small shapes, 2 heads
-    projections = [Tensor(rng.uniform(-1, 1, (4, 4))) for _ in range(4)]
-    attention_args = [Tensor(x234), *projections, Tensor(rng.uniform(-1, 1, (4,)))]
-    tokens = rng.integers(0, 5, (2, 3))
-    fused = {
-        **_input_cases("embedding", lambda t, p: ad.embedding(t, p, tokens),
-                       [Tensor(rng.uniform(-2, 2, (5, 4))), Tensor(rng.uniform(-2, 2, (4, 4)))],
-                       ("table", "positions")),
-        **_input_cases("linear", ad.linear,
-                       [Tensor(x234), Tensor(rng.uniform(-2, 2, (4, 3))), s3],
-                       ("x", "w", "b")),
-        **_input_cases("layer_norm_affine", ad.layer_norm_affine,
-                       [Tensor(x234), Tensor(rng.uniform(-2, 2, (4,))),
-                        Tensor(rng.uniform(-2, 2, (4,)))],
-                       ("x", "gain", "bias")),
-    }
-    for name, pad in (("attention", None), ("attention_padded", KEY_PAD),
-                      ("attention_row_padded", ROW_PADDED)):
-        fused.update(_input_cases(
-            name, lambda *a, pad=pad: ad.attention(*a, n_heads=2, key_pad=pad),
-            attention_args, ("x", "wq", "wk", "wv", "wo", "bo"),
+def _attention_cases(prefix, **kwargs):
+    """Every input of ``attention(..., **kwargs)`` (2 heads), per key pad."""
+
+    def draw(rng):
+        return ([Tensor(_u(rng, 2, 3, 4))] + [Tensor(_u(rng, 4, 4, scale=1.0)) for _ in range(4)]
+                + [Tensor(_u(rng, 4, scale=1.0))])
+
+    cases = {}
+    for suffix, pad in (("", None), ("_padded", KEY_PAD), ("_row_padded", ROW_PADDED)):
+        cases.update(_input_cases(
+            prefix + suffix, lambda *a, pad=pad: ad.attention(*a, n_heads=2, key_pad=pad, **kwargs),
+            draw, ("x", "wq", "wk", "wv", "wo", "bo"),
         ))
-    return fused | {
-        "add": (lambda x: scalarize(ad.add(x, c23)), _rand((2, 3))),
-        "add_suffix": (lambda x: scalarize(ad.add(c423, x)), _rand((2, 3))),
-        "subtract": (lambda x: scalarize(ad.sub(c23, x)), _rand((2, 3))),
-        "multiply": (lambda x: scalarize(ad.mul(x, c23)), _rand((2, 3))),
-        "multiply_suffix": (lambda x: scalarize(ad.mul(c423, x)), _rand((2, 3))),
-        "scalar_multiply": (lambda x: scalarize(ad.smul(x, 1.7)), _rand((2, 3))),
-        "divide": (lambda x: scalarize(ad.div(c23, ad.add(x, 5.0))), _rand((2, 3))),
-        "divide_num": (lambda x: scalarize(ad.div(x, ad.add(c23, 5.0))), _rand((2, 3))),
-        "matmul": (lambda x: scalarize(ad.matmul(x, w33)), _rand((2, 3))),
-        "matmul_batched": (lambda x: scalarize(ad.matmul(x, w43)), x234),
-        "matmul_left_broadcast": (
-            lambda w: ad.reduce_sum(ad.matmul(Tensor(x234), w)),
-            _rand((4, 3)),
-        ),
-        "transpose": (lambda x: scalarize(ad.transpose(x)), _rand((2, 3))),
-        "transpose_axes": (
-            lambda x: scalarize(ad.transpose(x, (2, 0, 1))),
-            x234,
-        ),
-        "reshape": (lambda x: scalarize(ad.reshape(x, (6,))), _rand((2, 3))),
-        "softmax": (lambda x: scalarize(ad.softmax(x)), _rand((2, 3))),
-        "log_softmax": (lambda x: scalarize(ad.log_softmax(x)), _rand((2, 3))),
-        "layer_norm": (lambda x: scalarize(ad.layer_norm(x)), _rand((2, 3))),
-        "gelu": (lambda x: scalarize(ad.gelu(x)), _rand((2, 3))),
-        "tanh": (lambda x: scalarize(ad.tanh(x)), _rand((2, 3))),
-        "abs": (lambda x: scalarize(ad.absolute(x)), abs_x),
-        "sum": (lambda x: ad.reduce_sum(x), _rand((2, 3))),
-        "sum_axis": (lambda x: scalarize(ad.reduce_sum(x, axis=-1)), _rand((2, 3))),
-        "mean": (lambda x: ad.reduce_mean(x), _rand((2, 3))),
-        "mean_axis": (lambda x: scalarize(ad.reduce_mean(x, axis=0)), _rand((2, 3))),
-        "max": (lambda x: scalarize(ad.max_last(x)), max_x),
-        "gather_axis": (lambda x: scalarize(ad.gather(x, np.array([2, 0, 2]), axis=1)),
-                        x234),
-        "gather_scalar": (lambda x: scalarize(ad.gather(x, 1, axis=1)), x234),
-        "take_last": (lambda x: scalarize(ad.take_last(x, idx_last)), _rand((2, 3))),
-        "masked_fill": (
-            lambda x: scalarize(ad.masked_fill(x, mask23, -9.0)),
-            _rand((2, 3)),
-        ),
-        "clamp": (
-            lambda x: scalarize(ad.clamp(x, -1.0, 1.0)),
-            np.array([[-1.8, -0.4, 0.3], [1.9, 0.8, -0.2]]),
-        ),
-        "concat": (lambda x: scalarize(ad.concat([x, c23], axis=-1)), _rand((2, 3))),
-        "scale_rows_coeff": (
-            lambda s: ad.reduce_sum(ad.scale_rows(Tensor(x25), s)),
-            _rand((2,)),
-        ),
-        "scale_rows_states": (
-            lambda x: ad.reduce_sum(ad.scale_rows(x, s3)),
-            _rand((3, 4)),
-        ),
-    }
+    return cases
 
 
-NAMES = sorted(_case_factories(np.random.default_rng(0)))
+def _abs_case(rng):
+    x = _u(rng, 2, 3)
+    x += np.sign(x) * 0.05  # keep away from the kink
+    return (lambda t: scalarize(ad.absolute(t))), x
+
+
+def _max_case(rng):
+    x = _u(rng, 3, 4)
+    x[np.arange(3), rng.integers(0, 4, 3)] += 3.0  # unique max per row
+    return (lambda t: scalarize(ad.max_last(t))), x
+
+
+def _take_last_case(rng):
+    idx = rng.integers(0, 3, (2,))
+    return (lambda t: scalarize(ad.take_last(t, idx))), _u(rng, 2, 3)
+
+
+def _masked_fill_case(rng):
+    mask = rng.random((2, 3)) < 0.4
+    return (lambda t: scalarize(ad.masked_fill(t, mask, -9.0))), _u(rng, 2, 3)
+
+
+def _identity(t):
+    return t
+
+
+# name -> factory(rng) -> (build, x): each trial builds only its own case,
+# with constants and input drawn from that trial's generator
+CASES = {
+    **_input_cases("embedding", ad.embedding,
+                   lambda r: [Tensor(_u(r, 5, 4)), Tensor(_u(r, 4, 4)), r.integers(0, 5, (2, 3))],
+                   ("table", "positions")),
+    **_input_cases("linear", ad.linear,
+                   lambda r: [Tensor(_u(r, 2, 3, 4)), Tensor(_u(r, 4, 3)), Tensor(_u(r, 3))],
+                   ("x", "w", "b")),
+    **_input_cases("layer_norm_affine", ad.layer_norm_affine,
+                   lambda r: [Tensor(_u(r, 2, 3, 4)), Tensor(_u(r, 4)), Tensor(_u(r, 4))],
+                   ("x", "gain", "bias")),
+    **_attention_cases("attention"),
+    "add": _case(ad.add, (2, 3), (2, 3)),
+    "add_suffix": _case(lambda x, c: ad.add(c, x), (2, 3), (4, 2, 3)),
+    "subtract": _case(lambda x, c: ad.sub(c, x), (2, 3), (2, 3)),
+    "multiply": _case(ad.mul, (2, 3), (2, 3)),
+    "multiply_suffix": _case(lambda x, c: ad.mul(c, x), (2, 3), (4, 2, 3)),
+    "scalar_multiply": _case(lambda x: ad.smul(x, 1.7)),
+    "divide": _case(lambda x, c: ad.div(c, ad.add(x, 5.0)), (2, 3), (2, 3)),
+    "divide_num": _case(lambda x, c: ad.div(x, ad.add(c, 5.0)), (2, 3), (2, 3)),
+    "matmul": _case(ad.matmul, (2, 3), (3, 3)),
+    "matmul_batched": _case(ad.matmul, (2, 3, 4), (4, 3)),
+    "matmul_left_broadcast": _case(lambda w, x: ad.matmul(x, w), (4, 3), (2, 3, 4),
+                                   reduce=ad.reduce_sum),
+    "transpose": _case(ad.transpose),
+    "transpose_axes": _case(lambda x: ad.transpose(x, (2, 0, 1)), (2, 3, 4)),
+    "reshape": _case(lambda x: ad.reshape(x, (6,))),
+    "softmax": _case(ad.softmax),
+    "log_softmax": _case(ad.log_softmax),
+    "layer_norm": _case(ad.layer_norm),
+    "gelu": _case(ad.gelu),
+    "tanh": _case(ad.tanh),
+    "abs": _abs_case,
+    "sum": _case(_identity, reduce=ad.reduce_sum),
+    "sum_axis": _case(lambda x: ad.reduce_sum(x, axis=-1)),
+    "mean": _case(_identity, reduce=ad.reduce_mean),
+    "mean_axis": _case(lambda x: ad.reduce_mean(x, axis=0)),
+    "max": _max_case,
+    "gather_axis": _case(lambda x: ad.gather(x, np.array([2, 0, 2]), axis=1), (2, 3, 4)),
+    "gather_scalar": _case(lambda x: ad.gather(x, 1, axis=1), (2, 3, 4)),
+    "take_last": _take_last_case,
+    "masked_fill": _masked_fill_case,
+    "clamp": lambda rng: ((lambda x: scalarize(ad.clamp(x, -1.0, 1.0))),
+                          np.array([[-1.8, -0.4, 0.3], [1.9, 0.8, -0.2]])),
+    "concat": _case(lambda x, c: ad.concat([x, c], axis=-1), (2, 3), (2, 3)),
+    "scale_rows_coeff": _case(lambda s, x: ad.scale_rows(x, s), (2,), (2, 5),
+                              reduce=ad.reduce_sum),
+    "scale_rows_states": _case(ad.scale_rows, (3, 4), (3,), reduce=ad.reduce_sum),
+}
+NAMES = sorted(CASES)
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_primitive_gradients_match_finite_differences(name):
     # 100 random instances per primitive, fresh constants and inputs each time
     for trial in range(100):
-        build, x = _case_factories(np.random.default_rng(trial_seed(name, trial)))[name]
-        check_grad(build, x)
+        check_grad(*CASES[name](np.random.default_rng(trial_seed(name, trial))))
 
 
-def _attention_query_cases(rng):
-    """``attention(..., query=0)``: one (build, x) pair per input and key pad."""
-    args = ([Tensor(rng.uniform(-2, 2, (2, 3, 4)))]
-            + [Tensor(rng.uniform(-1, 1, (4, 4))) for _ in range(4)]
-            + [Tensor(rng.uniform(-1, 1, (4,)))])
-    cases = {}
-    for name, pad in (("attention_query0", None), ("attention_query0_padded", KEY_PAD),
-                      ("attention_query0_row_padded", ROW_PADDED)):
-        cases.update(_input_cases(
-            name, lambda *a, pad=pad: ad.attention(*a, n_heads=2, key_pad=pad, query=0),
-            args, ("x", "wq", "wk", "wv", "wo", "bo"),
-        ))
-    return cases
+QUERY_CASES = _attention_cases("attention_query0", query=0)
 
 
-@pytest.mark.parametrize("name", sorted(_attention_query_cases(np.random.default_rng(0))))
+@pytest.mark.parametrize("name", sorted(QUERY_CASES))
 def test_attention_at_one_query_gradients_match_finite_differences(name):
     for trial in range(100):
-        build, x = _attention_query_cases(np.random.default_rng(trial_seed(name, trial)))[name]
-        check_grad(build, x)
+        check_grad(*QUERY_CASES[name](np.random.default_rng(trial_seed(name, trial))))
 
 
 def test_clamp_outside_interval_has_zero_gradient():

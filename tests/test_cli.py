@@ -2,13 +2,16 @@
 
 import csv
 import json
+import os
+import time
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cat_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
+import cat_lab.cli
+from cat_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main, run_seeds
 from cat_lab.encoder import EncoderModel, ModelConfig
 
 FAST_OVERRIDES = [
@@ -17,6 +20,19 @@ FAST_OVERRIDES = [
     "--set", 'model={"d_model": 8, "n_heads": 2, "n_layers": 2, "d_ff": 8}',
     "--set", "train.candidate_layers=[1, 2]",
 ]
+
+
+def usable_cpus(monkeypatch, n):
+    """Let ``run_seeds`` see ``n`` CPUs: one runs every job in process, two use a pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def only_in_workers(monkeypatch):
+    """Fail any training started in this process: a run that passes ran in a worker."""
+    def in_parent(*args):
+        raise AssertionError("trained in the parent process")
+
+    monkeypatch.setattr(cat_lab.cli, "seeded_trainer", in_parent)
 
 
 def write_spec(path, **overrides):
@@ -124,6 +140,90 @@ def test_train_seed_list_and_env_override(dataset_dir, tmp_path, monkeypatch):
     assert not (out / "seed_0").exists()
 
 
+@pytest.mark.parametrize("seeds, repeated", [
+    (["--seeds", "1,1"], "seed 1 is repeated"),
+    (["--seeds", "0,3,2,3"], "seed 3 is repeated"),
+    (["--set", "seeds=[2, 5, 2]"], "seed 2 is repeated"),
+    (["--seeds", "3,x"], "seeds: expected a count or a comma-separated list of integers"),
+    (["--seeds", "two"], "seeds: expected a count or a comma-separated list of integers"),
+])
+def test_train_rejects_repeated_or_non_integer_seeds(dataset_dir, tmp_path, capsys,
+                                                     seeds, repeated):
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(dataset_dir), "--preset", "erm",
+                 "--out", str(out), *FAST_OVERRIDES, *seeds])
+    assert code == EXIT_CONFIG
+    assert repeated in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _sleep_then(job):
+    """``job = (value, seconds, fails)``: ``10 * value`` after ``seconds``, or a ValueError."""
+    value, seconds, fails = job
+    time.sleep(seconds)
+    if fails:
+        raise ValueError(f"job {value} failed")
+    return 10 * value
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_run_seeds_keeps_submission_order(monkeypatch, cpus):
+    usable_cpus(monkeypatch, cpus)
+    assert run_seeds(_sleep_then, [(v, 0.2 * (v % 2), False) for v in range(4)]) == \
+        [0, 10, 20, 30]
+    # in a pool, job 1 fails after job 2 does, but it was submitted first
+    with pytest.raises(ValueError, match="job 1 failed"):
+        run_seeds(_sleep_then, [(0, 0, False), (1, 0.5, True), (2, 0, True)])
+
+
+def test_train_in_process_and_pooled_runs_are_identical(dataset_dir, tmp_path,
+                                                        capsys, monkeypatch):
+    runs = {}
+    for cpus in (1, 2):
+        usable_cpus(monkeypatch, cpus)
+        if cpus == 2:
+            only_in_workers(monkeypatch)
+        out = tmp_path / f"cpus_{cpus}"
+        code = main(["train", "--data", str(dataset_dir), "--preset", "cat",
+                     "--seeds", "2", "--out", str(out), *FAST_OVERRIDES])
+        assert code == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        runs[cpus] = {
+            "stdout": capsys.readouterr().out,
+            "aggregate": summary["aggregate"],
+            "per_seed": summary["per_seed"],
+            **{f"seed_{s}": ((out / f"seed_{s}" / "metrics.csv").read_bytes(),
+                             json.loads((out / f"seed_{s}" / "summary.json").read_text())
+                             ["final_eval"])
+               for s in (0, 1)},
+        }
+    assert runs[1]["stdout"].count("seed ") == 2
+    assert runs[1] == runs[2]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_divergence_in_a_worker_exits_4_with_finite_rescue(tmp_path, capsys,
+                                                                 monkeypatch):
+    data = tmp_path / "data"
+    spec = write_spec(tmp_path / "spec.json", n_train=60)
+    assert main(["generate", "--spec", str(spec), "--out", str(data)]) == EXIT_OK
+    usable_cpus(monkeypatch, 2)
+    only_in_workers(monkeypatch)
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(data), "--preset", "erm", "--out", str(out),
+                 "--seeds", "2",
+                 "--set", "train.base_lr=1e200", "--set", "train.lr_warmup_steps=0",
+                 "--set", "train.warmup_steps=0", "--set", "train.max_steps=20"])
+    assert code == EXIT_DIVERGED
+    assert "erm loss became non-finite at step 1" in capsys.readouterr().err
+    for seed in (0, 1):
+        with open(out / f"seed_{seed}" / "metrics.csv") as fh:
+            assert [row["step"] for row in csv.DictReader(fh)] == ["1"]
+        with np.load(out / f"seed_{seed}" / "model.npz") as saved:
+            assert all(np.all(np.isfinite(saved[k])) for k in saved.files)
+    assert not (out / "summary.json").exists()
+
+
 def test_train_missing_data_is_config_error(tmp_path):
     code = main(["train", "--data", str(tmp_path / "nope"), "--preset", "erm"])
     assert code == EXIT_CONFIG
@@ -187,14 +287,15 @@ def test_train_rejects_unknown_config_field(dataset_dir, tmp_path):
     ("train.track_param_freeze=false", "track_param_freeze"),
     ("train.risk.detach_weights=false", "detach_weights"),
 ])
+@pytest.mark.parametrize("seeds", ["1", "2"])  # one seed in process, two in a pool
 def test_train_rejects_bad_field_before_training(dataset_dir, tmp_path, capsys,
-                                                 assignment, field):
+                                                 assignment, field, seeds):
     out = tmp_path / "x"
-    code = main(["train", "--data", str(dataset_dir), "--preset", "cat",
+    code = main(["train", "--data", str(dataset_dir), "--preset", "cat", "--seeds", seeds,
                  "--out", str(out), *FAST_OVERRIDES, "--set", assignment])
     assert code == EXIT_CONFIG
     assert field in capsys.readouterr().err
-    assert not (out / "seed_0").exists()
+    assert not (out / "seed_0").exists() and not (out / "seed_1").exists()
 
 
 def test_train_evaluates_each_split_once(dataset_dir, tmp_path, monkeypatch):
@@ -394,6 +495,29 @@ def test_sweep_grid_values_must_be_lists(dataset_dir, tmp_path, capsys, values):
     code = main(["sweep", "--grid", str(grid_path), "--out", str(tmp_path / "sweep")])
     assert code == EXIT_CONFIG
     assert "train.max_steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid_file, message", [
+    ([{"base": {}, "grid": {}}], "sweep grid: expected an object, got list"),
+    ("grid", "sweep grid: expected an object, got str"),
+    ({"base": {}, "grid": {"seeds": [[0]]}, "extra": 1}, "unknown key 'extra'"),
+    ({"base": {}, "grids": {"seeds": [[0]]}}, "unknown key 'grids'"),
+])
+def test_sweep_grid_file_is_an_object_of_base_and_grid(tmp_path, capsys, grid_file, message):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(grid_file))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--grid", str(grid_path), "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_has_no_workers_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--grid", str(tmp_path / "g.json"), "--out", str(tmp_path / "s"),
+              "--workers", "2"])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_sweep_records_cell_failures_and_continues(dataset_dir, tmp_path):
@@ -612,3 +736,44 @@ def test_fuzzed_set_values_exit_0_2_or_3(fuzz_inputs, capsys, assignments):
                  "--out", str(root / "runs"), *FAST_OVERRIDES, "--set", "train.max_steps=4",
                  *sets])
     _no_traceback(capsys, code)
+
+
+# a fast base run config; a fuzzed "base" object is laid over it
+FAST_BASE = {"preset": "cat", "seeds": 1,
+             "train": {"warmup_steps": 1, "max_steps": 3, "candidate_layers": [1, 2]},
+             "model": {"d_model": 8, "n_heads": 2, "n_layers": 2, "d_ff": 8}}
+PLAUSIBLE_VALUES = PLAUSIBLE_SET_VALUES.map(json.loads)
+# grid files that pass the top-level checks more often than arbitrary JSON does
+PLAUSIBLE_GRID = st.fixed_dictionaries({
+    "base": st.dictionaries(st.sampled_from(["task", "preset", "seeds", "bogus"]),
+                            st.one_of(PLAUSIBLE_VALUES, JSON_VALUES), max_size=1),
+    "grid": st.one_of(
+        st.dictionaries(st.sampled_from(["train.max_steps", "train.adversarial.steps", "seeds"]),
+                        st.lists(st.integers(0, 3), min_size=1, max_size=2),
+                        min_size=1, max_size=2),
+        st.dictionaries(st.sampled_from(SET_KEYS + ["seeds"]),
+                        st.one_of(st.lists(st.one_of(PLAUSIBLE_VALUES, JSON_VALUES),
+                                           min_size=1, max_size=2), JSON_VALUES),
+                        min_size=1, max_size=2)),
+})
+
+
+@FUZZ
+@given(grid_file=st.one_of(
+    JSON_VALUES,
+    st.dictionaries(st.sampled_from(["base", "grid", "bogus"]), JSON_VALUES, max_size=3),
+    PLAUSIBLE_GRID, PLAUSIBLE_GRID,
+))
+def test_fuzzed_sweep_grid_exits_0_2_or_3(fuzz_inputs, capsys, monkeypatch, grid_file):
+    data, _, root = fuzz_inputs
+    usable_cpus(monkeypatch, 1)  # cells run in process; placement is tested above
+    if isinstance(grid_file, dict) and isinstance(grid_file.get("base"), dict):
+        grid_file["base"] = {"data": str(data), **FAST_BASE, **grid_file["base"]}
+    path = root / "fuzzed_grid.json"
+    path.write_text(json.dumps(grid_file))
+    code = main(["sweep", "--grid", str(path), "--out", str(root / "sweep")])
+    captured = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA), captured.err
+    assert "Traceback" not in captured.err
+    assert ("sweep finished" in captured.out if code == EXIT_OK
+            else captured.err.startswith(("config error: ", "data error: ")))
