@@ -4,12 +4,12 @@ Subcommands
 -----------
 generate    write train/test jsonl splits plus a manifest from a spec file
 train       run one preset/config per seed, writing metrics + checkpoints
+compare     train named arms over shared seeds; paired differences to the first arm
 eval        score a saved checkpoint on a dataset file
 sweep       run a grid of config overrides, one summary row per cell
 dump-reprs  export pooled original/counterfactual vectors as CSV
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 diverged run.
-The environment variable CAT_LAB_SEED, when set, overrides the seed list.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import time
 import types
@@ -28,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 
-from cat_lab import datagen
 from cat_lab.adversarial import AdversarialConfig
 from cat_lab.datagen import (
     CLASSIFICATION,
@@ -49,6 +49,7 @@ from cat_lab.trainer import (
     DivergenceError,
     TrainConfig,
     evaluate,
+    resolve_schedule,
     seeded_trainer,
     write_metrics_csv,
     write_summary_json,
@@ -213,6 +214,16 @@ def preset_model_config(task_kind: str) -> ModelConfig:
     return ModelConfig()
 
 
+def resolve_arm(config: dict, task_kind: str,
+                where: str = "") -> tuple[ModelConfig, TrainConfig]:
+    """A run config's (model, train) configs: its preset's, with its overrides applied."""
+    train_config = _build_dataclass(preset_train_config(config.get("preset", "cat"), task_kind),
+                                    config.get("train", {}), where + "train")
+    model_config = _build_dataclass(preset_model_config(task_kind),
+                                    config.get("model", {}), where + "model")
+    return model_config, train_config
+
+
 def _load_json(path: Path, what: str) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
@@ -262,6 +273,8 @@ def _parse_seeds(value, base_seed: int) -> list[int]:
         value = [base_seed + i for i in range(value)]
     elif not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
         raise ConfigError(f"seeds: expected a list of integers, got {value!r}")
+    if not value:
+        raise ConfigError("seeds: the seed list is empty")
     for i, seed in enumerate(value):
         if seed in value[:i]:
             raise ConfigError(f"seeds: seed {seed} is repeated")
@@ -298,19 +311,6 @@ def resolve_run_config(args) -> dict:
         dotted, raw = assignment.split("=", 1)
         _apply_dotted(config, dotted, raw)
     return config
-
-
-def _infer_task_kind(config: dict, data_dir: Path | None) -> str:
-    kind = config.get("task")
-    if kind is None and data_dir is not None:
-        manifest = data_dir / "manifest.json"
-        if manifest.exists():
-            kind = _load_json(manifest, "manifest").get("task")
-    if kind is None:
-        kind = CLASSIFICATION
-    if kind not in TASK_KINDS:
-        raise ConfigError(f"unknown task kind {kind!r}")
-    return kind
 
 
 def _load_data_dir(data_dir: Path, task: str,
@@ -456,45 +456,44 @@ def _train_seed(job: tuple) -> dict:
     return final_eval
 
 
+def _seed_jobs(model_config: ModelConfig, train_config: TrainConfig, seeds: list[int],
+               task: str, train_set: Dataset, eval_sets: dict, out: Path) -> list:
+    """One ``_train_seed`` job per seed, each writing into ``out/seed_N``."""
+    return [(model_config, replace(train_config, seed=seed), task, train_set, eval_sets,
+             out / f"seed_{seed}") for seed in seeds]
+
+
+def _data_task(config: dict, command: str) -> tuple[Path, str, str]:
+    """Dataset directory, task kind (the config's, else the manifest's), trainer task."""
+    data = config.get("data")
+    if data is None:
+        raise ConfigError(f"{command}: missing 'data' (dataset directory)")
+    data_dir = Path(data)
+    if not data_dir.is_dir():
+        raise ConfigError(f"{command}: dataset directory {data_dir} does not exist")
+    kind = config.get("task")
+    if kind is None and (data_dir / "manifest.json").exists():
+        kind = _load_json(data_dir / "manifest.json", "manifest").get("task")
+    kind = CLASSIFICATION if kind is None else kind
+    if kind not in TASK_KINDS:
+        raise ConfigError(f"unknown task kind {kind!r}")
+    return data_dir, kind, SPAN if kind == SPAN else CLASSIFICATION
+
+
 def run_training(config: dict) -> dict:
     """One multi-seed training run from a resolved config dict."""
     _check_run_config(config)
-    data = config.get("data")
-    if data is None:
-        raise ConfigError("train: missing 'data' (dataset directory)")
-    data_dir = Path(data)
-    if not data_dir.is_dir():
-        raise ConfigError(f"train: dataset directory {data_dir} does not exist")
-    task_kind = _infer_task_kind(config, data_dir)
-    task = SPAN if task_kind == SPAN else CLASSIFICATION
-
+    data_dir, task_kind, task = _data_task(config, "train")
     preset = config.get("preset", "cat")
-    base_train = preset_train_config(preset, task_kind)
-    base_train = _build_dataclass(base_train, config.get("train", {}), "train")
-    model_config = _build_dataclass(
-        preset_model_config(task_kind), config.get("model", {}), "model"
-    )
-
-    env_seed = os.environ.get("CAT_LAB_SEED")
-    if env_seed is not None:
-        try:
-            seeds = [int(env_seed)]
-        except ValueError as exc:
-            raise ConfigError(f"CAT_LAB_SEED must be an integer: {env_seed!r}") from exc
-    else:
-        seeds = _parse_seeds(config.get("seeds", [base_train.seed]), base_train.seed)
-    if not seeds:
-        raise ConfigError("train: empty seed list")
+    model_config, base_train = resolve_arm(config, task_kind)
+    seeds = _parse_seeds(config.get("seeds", [base_train.seed]), base_train.seed)
 
     train_set, eval_sets = _load_data_dir(data_dir, task, model_config.n_classes)
     out = Path(config.get("out", "runs/latest"))
     out.mkdir(parents=True, exist_ok=True)
 
-    per_seed = dict(zip(seeds, run_seeds(_train_seed, [
-        (model_config, replace(base_train, seed=seed), task, train_set, eval_sets,
-         out / f"seed_{seed}")
-        for seed in seeds
-    ])))
+    per_seed = dict(zip(seeds, run_seeds(_train_seed, _seed_jobs(
+        model_config, base_train, seeds, task, train_set, eval_sets, out))))
     for seed, final_eval in per_seed.items():
         print(f"seed {seed}: " + "  ".join(
             f"{split} " + " ".join(f"{k}={v:.4f}" for k, v in report.items()
@@ -517,22 +516,27 @@ def run_training(config: dict) -> dict:
     return summary
 
 
+def _metric_arrays(per_seed: dict) -> dict:
+    """Each split's float metrics as arrays over the seeds, in seed order."""
+    first = next(iter(per_seed.values()), {})
+    return {split: {metric: np.array([per_seed[s][split][metric] for s in per_seed])
+                    for metric, value in report.items() if isinstance(value, float)}
+            for split, report in first.items()}
+
+
 def _aggregate(per_seed: dict) -> dict:
-    out: dict = {}
-    if not per_seed:
-        return out
-    any_result = next(iter(per_seed.values()))
-    for split, report in any_result.items():
-        out[split] = {}
-        for metric, value in report.items():
-            if not isinstance(value, float):
-                continue
-            values = [per_seed[s][split][metric] for s in per_seed]
-            out[split][metric] = {
-                "mean": float(np.mean(values)),
-                "sd": float(np.std(values)),
-            }
-    return out
+    return {split: {metric: {"mean": float(np.mean(values)), "sd": float(np.std(values))}
+                    for metric, values in metrics.items()}
+            for split, metrics in _metric_arrays(per_seed).items()}
+
+
+def _paired(differences: np.ndarray) -> dict:
+    """Mean paired difference, its standard error, and the seeds won and tied."""
+    n = len(differences)
+    return {"mean": float(np.mean(differences)),
+            "se": float(np.std(differences, ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+            "wins": int(np.sum(differences > 0)),
+            "ties": int(np.sum(differences == 0))}
 
 
 def cmd_train(args) -> int:
@@ -543,6 +547,89 @@ def cmd_train(args) -> int:
             f"{m}={v['mean']:.4f}±{v['sd']:.4f}" for m, v in metrics.items()
         )
         print(f"aggregate {split}: {line}")
+    return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# compare
+# ---------------------------------------------------------------------------
+
+
+def compare_arms(arms: dict, seeds: list[int] | range, task: str, train_set: Dataset,
+                 eval_sets: dict[str, Dataset], out: Path) -> dict:
+    """Train every arm, a (model config, train config) pair by name, on the same seeds.
+
+    Seed N of arm NAME writes ``out/NAME/seed_N`` as ``train`` does. Per arm:
+    ``per_seed`` final evaluations, their ``aggregate``, and ``vs_reference``,
+    the arm minus the first arm paired by seed (mean, SE, wins and ties).
+    """
+    for name, (model_config, train_config) in arms.items():
+        try:  # build each arm's trainer first, so a bad arm fails before any run
+            seeded_trainer(model_config, train_config, task)
+            _, steps = resolve_schedule(train_config, len(train_set))
+        except ValueError as exc:
+            raise ConfigError(f"arm {name}: {exc}") from exc
+        if steps > math.ceil(len(train_set) / train_config.batch_size):
+            print(f"warning: arm {name} trains past one epoch; later epochs draw their batch "
+                  f"order from the trainer's shared generator, so they are not paired "
+                  f"across arms", file=sys.stderr)
+    jobs = [job for name, (model_config, train_config) in arms.items()
+            for job in _seed_jobs(model_config, train_config, seeds, task, train_set,
+                                  eval_sets, out / name)]
+    reports = iter(run_seeds(_train_seed, jobs))
+    per_seed = {name: {seed: next(reports) for seed in seeds} for name in arms}
+    ref = _metric_arrays(next(iter(per_seed.values())))
+    return {name: {"per_seed": runs, "aggregate": _aggregate(runs),
+                   "vs_reference": {split: {metric: _paired(values - ref[split][metric])
+                                            for metric, values in metrics.items()}
+                                    for split, metrics in _metric_arrays(runs).items()}}
+            for name, runs in per_seed.items()}
+
+
+def _parse_arms(arm_specs: list[str], assignments: list[str]) -> dict:
+    """``--arm NAME=PRESET`` and ``--set [ARM.]train|model.KEY=VALUE`` as run configs by name."""
+    arms: dict = {}
+    for spec in arm_specs:
+        name, _, preset = spec.partition("=")
+        if not re.fullmatch(r"[\w-]+", name) or name in ("train", "model") or not preset:
+            raise ConfigError(f"--arm needs NAME=PRESET, NAME of letters, digits, '_' and '-' "
+                              f"other than train and model, got {spec!r}")
+        if name in arms:
+            raise ConfigError(f"--arm {name} is repeated")
+        arms[name] = {"preset": preset}
+    for assignment in assignments:
+        dotted, sep, raw = assignment.partition("=")
+        head, _, rest = dotted.partition(".")
+        names, dotted = ([head], rest) if head in arms else (list(arms), dotted)
+        if not sep or dotted.split(".")[0] not in ("train", "model"):
+            raise ConfigError(f"--set needs [ARM.]train.KEY=VALUE or [ARM.]model.KEY=VALUE "
+                              f"with ARM one of {', '.join(arms)}, got {assignment!r}")
+        if dotted == "train.seed":
+            raise ConfigError("--set train.seed: compare takes every arm's seeds from --seeds")
+        for name in names:
+            _apply_dotted(arms[name], dotted, raw)
+    return arms
+
+
+def cmd_compare(args) -> int:
+    data_dir, task_kind, task = _data_task({"data": args.data}, "compare")
+    arms = {name: resolve_arm(config, task_kind, f"{name}.")
+            for name, config in _parse_arms(args.arm, args.set or []).items()}
+    seeds = _parse_seeds(args.seeds, 0)
+    train_set, eval_sets = _load_data_dir(data_dir, task,
+                                          min(m.n_classes for m, _ in arms.values()))
+    out = Path(args.out)
+    results = compare_arms(arms, seeds, task, train_set, eval_sets, out)
+    write_summary_json({"data": str(data_dir), "task": task_kind, "seeds": seeds,
+                        "arms": results}, out / "compare.json")
+    width = max(map(len, arms))
+    for name, result in results.items():
+        for split, metrics in result["aggregate"].items():
+            diffs = result["vs_reference"][split]
+            print(f"{name:{width}s} {split}  " + "  ".join(
+                f"{k} {m['mean']:.4f}±{m['sd']:.4f}  {diffs[k]['mean']:+.4f}±"
+                f"{diffs[k]['se']:.4f} W{diffs[k]['wins']} T{diffs[k]['ties']}"
+                for k, m in metrics.items()))
     return EXIT_OK
 
 
@@ -706,6 +793,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="dotted config override, e.g. train.max_steps=100")
     p.set_defaults(fn=cmd_train)
+
+    p = sub.add_parser("compare", help="train named arms over shared seeds and "
+                                       "report paired differences")
+    p.add_argument("--data", required=True, help="dataset directory written by generate")
+    p.add_argument("--arm", action="append", required=True, metavar="NAME=PRESET",
+                   help="a named arm, one flag per arm; the first is the reference")
+    p.add_argument("--set", action="append", metavar="[ARM.]KEY=VALUE",
+                   help="dotted override for one arm, or for every arm without the prefix")
+    p.add_argument("--seeds", default="5", help="count, or comma-separated seed list")
+    p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset file")
     p.add_argument("--checkpoint", required=True)

@@ -7,10 +7,8 @@ runtime; everything else is seconds.
 
 import time
 import zlib
-from dataclasses import replace
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from cat_lab import autodiff as ad
@@ -18,10 +16,9 @@ from cat_lab.adversarial import AdversarialConfig, adversarial_objective
 from cat_lab.autodiff import Tape, Tensor, backward, finite_difference_grad
 from cat_lab.cli import (
     CASE_STUDY,
+    compare_arms,
     main,
-    preset_model_config,
-    preset_train_config,
-    run_seeds,
+    resolve_arm,
 )
 from cat_lab.datagen import (
     SCMSpec,
@@ -33,7 +30,6 @@ from cat_lab.encoder import EncoderModel, ModelConfig
 from cat_lab.mixing import (
     DIRECT,
     BetaParams,
-    build_mix_plan,
     interpolate,
     sample_beta,
 )
@@ -45,7 +41,7 @@ from cat_lab.risk import (
     importance_ratio,
     importance_weights,
 )
-from cat_lab.trainer import Trainer, TrainConfig, evaluate, train
+from cat_lab.trainer import Trainer, TrainConfig, train
 from oracles import beta_cdf, beta_moment
 from test_adversarial import _random_encoder_setup
 from test_autodiff import CASES, NAMES, check_grad, trial_seed
@@ -197,43 +193,32 @@ def test_criterion_5_bound_function():
 
 
 # -- 6-8: directional experiments ---------------------------------------------------
+# Each criterion lists its slowest arm first, so the runs that end the batch
+# are short ones and no worker idles long while another finishes. The
+# README's experiment specs generate exactly their (train, *test) splits.
+CRITERION_DATA = {
+    "classification": lambda: generate_classification(
+        SCMSpec(confound_strength=0.95, seed=1234), 5000, 2000),
+    CASE_STUDY: lambda: generate_case_study(n_train=100, n_test=100, seed=5),
+    "span": lambda: generate_span_task(
+        SCMSpec(seq_len=24, query_len=6, confound_strength=0.95, seed=7), 2000, 400),
+}
 
 
-def _run_preset(job):
-    """Train one (preset, seed) arm and evaluate it on every split in ``evals``."""
-    preset, task_kind, model_config, train_set, evals, seed, overrides = job
-    config = replace(preset_train_config(preset, task_kind), seed=seed,
-                     **overrides)
-    task = "span" if task_kind == "span" else "classification"
-    model, _ = train(model_config, config, train_set, task=task)
-    return {name: evaluate(model, ds, task) for name, ds in evals.items()}
+def _means(results, metric):
+    """``{arm: {split: mean of metric over seeds}}`` from ``compare_arms``."""
+    return {name: {split: metrics[metric]["mean"]
+                   for split, metrics in result["aggregate"].items()}
+            for name, result in results.items()}
 
 
-def _run_arms(arms, seeds, task_kind, model_config, train_set, evals):
-    """Every (arm, seed) run as one batch: ``{arm: [report per seed]}``.
-
-    Callers list the slowest arm first, so the runs that end the batch are
-    short ones and no worker idles long while another finishes.
-    """
-    jobs = [(preset, task_kind, model_config, train_set, evals, seed, overrides)
-            for preset, overrides in arms.values() for seed in seeds]
-    reports = iter(run_seeds(_run_preset, jobs))
-    return {name: [next(reports) for _ in seeds] for name in arms}
-
-
-def test_criterion_6_debiasing_experiment():
+def test_criterion_6_debiasing_experiment(tmp_path):
     started = time.perf_counter()
-    spec = SCMSpec(confound_strength=0.95, seed=1234)
-    train_set, iid, ood = generate_classification(spec, 5000, 2000)
-    assert len(train_set) == 5000 and spec.n_classes == 3
-    model_config = preset_model_config("classification")
-    runs = _run_arms({p: (p, {}) for p in ("cat", "cat-star", "erm")}, range(6),
-                     "classification", model_config, train_set, {"iid": iid, "ood": ood})
-    means = {
-        preset: {split: float(np.mean([r[split]["accuracy"] for r in rows]))
-                 for split in ("iid", "ood")}
-        for preset, rows in runs.items()
-    }
+    train_set, iid, ood = CRITERION_DATA["classification"]()
+    assert len(train_set) == 5000 and np.unique(train_set.labels).size == 3
+    means = _means(compare_arms(
+        {p: resolve_arm({"preset": p}, "classification") for p in ("cat", "cat-star", "erm")},
+        range(6), "classification", train_set, {"iid": iid, "ood": ood}, tmp_path), "accuracy")
     elapsed = time.perf_counter() - started
 
     cat, erm, star = means["cat"], means["erm"], means["cat-star"]
@@ -246,41 +231,35 @@ def test_criterion_6_debiasing_experiment():
               f"{abs(cat['iid'] - erm['iid']):.3f}; {elapsed:.0f}s")
 
 
-def test_criterion_7_case_study():
+def test_criterion_7_case_study(tmp_path):
     started = time.perf_counter()
-    train_set, test_set = generate_case_study(n_train=100, n_test=100, seed=5)
+    train_set, test_set = CRITERION_DATA[CASE_STUDY]()
     np.testing.assert_array_equal(np.bincount(train_set.labels), [10, 80, 10])
     np.testing.assert_array_equal(np.bincount(test_set.labels), [40, 20, 40])
-    model_config = preset_model_config(CASE_STUDY)
-    runs = _run_arms({p: (p, {}) for p in ("cat", "erm")}, range(5), CASE_STUDY,
-                     model_config, train_set, {"test": test_set})
-    means = {preset: float(np.mean([r["test"]["accuracy"] for r in rows]))
-             for preset, rows in runs.items()}
+    means = {name: splits["test"] for name, splits in _means(compare_arms(
+        {p: resolve_arm({"preset": p}, CASE_STUDY) for p in ("cat", "erm")},
+        range(5), "classification", train_set, {"test": test_set}, tmp_path),
+        "accuracy").items()}
     elapsed = time.perf_counter() - started
     assert means["cat"] > means["erm"], f"means {means}"
     report(7, f"prior-shift test acc erm {means['erm']:.3f} -> "
               f"cat {means['cat']:.3f} over 5 seeds; {elapsed:.0f}s")
 
 
-def test_criterion_8_span_task():
+def test_criterion_8_span_task(tmp_path):
     started = time.perf_counter()
-    spec = SCMSpec(seq_len=24, query_len=6, confound_strength=0.95, seed=7)
-    train_set, iid, ood = generate_span_task(spec, 2000, 400)
-    model_config = preset_model_config("span")
-    runs = _run_arms({"cat": ("cat", {}), "cat-direct": ("cat", {"span_mix_strategy": DIRECT}),
-                      "erm": ("erm", {})},
-                     range(5), "span", model_config, train_set, {"iid": iid, "ood": ood})
-    results = {
-        name: {"iid_em": float(np.mean([r["iid"]["em"] for r in rows])),
-               "ood_em": float(np.mean([r["ood"]["em"] for r in rows]))}
-        for name, rows in runs.items()
-    }
+    train_set, iid, ood = CRITERION_DATA["span"]()
+    means = _means(compare_arms(
+        {"cat": resolve_arm({"preset": "cat"}, "span"),
+         "cat-direct": resolve_arm({"train": {"span_mix_strategy": DIRECT}}, "span"),
+         "erm": resolve_arm({"preset": "erm"}, "span")},
+        range(5), "span", train_set, {"iid": iid, "ood": ood}, tmp_path), "em")
     elapsed = time.perf_counter() - started
-    assert results["cat"]["ood_em"] > results["erm"]["ood_em"], results
+    assert means["cat"]["ood"] > means["erm"]["ood"], means
     report(8, "ood em erm {erm:.3f} -> cat(non-answer-context) {cat:.3f}; "
               "direct strategy ran clean at {direct:.3f}; {elapsed:.0f}s".format(
-                  erm=results["erm"]["ood_em"], cat=results["cat"]["ood_em"],
-                  direct=results["cat-direct"]["ood_em"], elapsed=elapsed))
+                  erm=means["erm"]["ood"], cat=means["cat"]["ood"],
+                  direct=means["cat-direct"]["ood"], elapsed=elapsed))
 
 
 # -- 9: determinism ---------------------------------------------------

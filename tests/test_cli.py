@@ -3,7 +3,11 @@
 import csv
 import json
 import os
+import re
 import time
+import typing
+from dataclasses import is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +15,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cat_lab.cli
-from cat_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main, run_seeds
+from cat_lab.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, PRESETS, TASK_KINDS,
+                         main, run_seeds)
 from cat_lab.encoder import EncoderModel, ModelConfig
+from cat_lab.mixing import MASK_STRATEGIES, POSITION_STRATEGIES
+from cat_lab.risk import MAX_PROB, TRUE_LABEL_PROB
+from cat_lab.trainer import ALGORITHMS, COMBINED, SEQUENTIAL, TrainConfig
+from test_acceptance import CRITERION_DATA
 
 FAST_OVERRIDES = [
     "--set", "train.warmup_steps=2",
@@ -128,16 +137,6 @@ def test_train_metrics_csv_byte_identical_across_runs(dataset_dir, tmp_path):
         assert code == EXIT_OK
         csvs.append((out / "seed_7" / "metrics.csv").read_bytes())
     assert csvs[0] == csvs[1]
-
-
-def test_train_seed_list_and_env_override(dataset_dir, tmp_path, monkeypatch):
-    out = tmp_path / "env_run"
-    monkeypatch.setenv("CAT_LAB_SEED", "42")
-    code = main(["train", "--data", str(dataset_dir), "--preset", "erm",
-                 "--seeds", "3", "--out", str(out), *FAST_OVERRIDES])
-    assert code == EXIT_OK
-    assert (out / "seed_42").is_dir()
-    assert not (out / "seed_0").exists()
 
 
 @pytest.mark.parametrize("seeds, repeated", [
@@ -333,6 +332,78 @@ def test_train_zero_steps_reports_final_eval(dataset_dir, tmp_path):
     assert summary["steps"] == 0
     assert set(summary["final_eval"]) == {"iid", "ood"}
     assert summary["final_eval"]["iid"]["n"] == 24
+
+
+def compare(dataset_dir, out, *args):
+    return main(["compare", "--data", str(dataset_dir), "--out", str(out), *FAST_OVERRIDES, *args])
+
+
+def test_compare_one_preset_as_two_arms_differs_by_exactly_zero(dataset_dir, tmp_path):
+    out = tmp_path / "cmp"
+    assert compare(dataset_dir, out, "--arm", "a=cat", "--arm", "b=cat", "--arm", "e=erm",
+                   "--seeds", "2") == EXIT_OK
+    arms = json.loads((out / "compare.json").read_text())["arms"]
+    for split in ("iid", "ood"):
+        assert arms["b"]["vs_reference"][split]["accuracy"] == \
+            {"mean": 0.0, "se": 0.0, "wins": 0, "ties": 2}
+        acc = {n: np.array([arms[n]["per_seed"][s][split]["accuracy"] for s in "01"])
+               for n in "ae"}
+        d = acc["e"] - acc["a"]
+        assert arms["e"]["vs_reference"][split]["accuracy"] == pytest.approx(
+            {"mean": d.mean(), "se": d.std(ddof=1) / np.sqrt(2),
+             "wins": np.sum(d > 0), "ties": np.sum(d == 0)})
+    for seed in (0, 1):
+        assert (out / "a" / f"seed_{seed}" / "metrics.csv").read_bytes() == \
+            (out / "b" / f"seed_{seed}" / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--arm", "a"], "--arm needs NAME=PRESET"),
+    (["--arm", "a=cat", "--arm", "a/b=cat"], "--arm needs NAME=PRESET"),
+    (["--arm", "a=cat", "--arm", "train=cat"], "other than train and model"),
+    (["--arm", "a=cat", "--arm", "a=erm"], "--arm a is repeated"),
+    (["--arm", "a=cat", "--arm", "b=bogus"], "unknown preset 'bogus'"),
+    (["--arm", "a=cat", "--arm", "b=cat", "--set", "c.train.max_steps=3"], "'c.train.max_st"),
+    (["--arm", "a=cat", "--arm", "b=cat", "--set", "train.bogus=1"], "a.train: unknown field"),
+    (["--arm", "a=cat", "--arm", "b=cat", "--set", "b.train.mask_strategy=bogus"],
+     "b.train: unknown mask strategy 'bogus'"),
+    (["--arm", "a=cat", "--arm", "b=cat", "--set", "b.train.mask_strategy=last_layer"],
+     "arm b: mask strategy 'last_layer'"),
+    (["--arm", "a=cat", "--arm", "b=cat", "--set", "b.train.seed=3"], "seeds from --seeds"),
+])
+def test_compare_rejects_malformed_input_before_any_run(dataset_dir, tmp_path, capsys,
+                                                        args, message):
+    out = tmp_path / "cmp"
+    assert compare(dataset_dir, out, *args) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# 48 training samples: an epoch is six batches of 8, or five of 10 with a short last one
+@pytest.mark.parametrize("batch_size, max_steps, warns", [
+    (8, 6, False), (8, 7, True), (10, 5, False), (10, 6, True)])
+def test_compare_warns_when_an_arm_trains_past_one_epoch(dataset_dir, tmp_path, capsys,
+                                                         batch_size, max_steps, warns):
+    assert compare(dataset_dir, tmp_path / "cmp", "--arm", "a=erm", "--arm", "b=erm",
+                   "--set", f"train.batch_size={batch_size}",
+                   "--set", f"b.train.max_steps={max_steps}", "--seeds", "1") == EXIT_OK
+    err = capsys.readouterr().err
+    assert ("arm b trains past one epoch" in err) == warns and "arm a" not in err
+
+
+@pytest.mark.parametrize("task", CRITERION_DATA)
+def test_readme_specs_generate_the_criteria_data(tmp_path, task):
+    experiments = (Path(__file__).parents[1] / "README.md").read_text().split("## Experiments")[1]
+    spec, = re.findall(rf'^{{"task": "{task}".*$', experiments, re.MULTILINE)
+    (tmp_path / "spec.json").write_text(spec)
+    assert main(["generate", "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(tmp_path / "data")]) == EXIT_OK
+    train_set, eval_sets = cat_lab.cli._load_data_dir(
+        tmp_path / "data", "span" if task == "span" else "classification", 3)
+    for got, expected in zip([train_set, *eval_sets.values()], CRITERION_DATA[task](),
+                             strict=True):
+        for name in ("tokens", "labels", "spans", "segments"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
 
 
 def test_eval_subcommand(dataset_dir, tmp_path, capsys):
@@ -662,12 +733,11 @@ SET_KEYS = [
     "model.n_heads", "model.n_layers", "model.d_model", "model.d_ff", "model.vocab_size",
     "model.max_seq_len", "model.n_classes", "model.use_span_head", "model.pad_id",
 ]
-# --set values that parse to the right type more often than arbitrary JSON
-# does, so that a fair share of examples trains
-PLAUSIBLE_SET_VALUES = st.one_of(
-    st.integers(-1, 6).map(str), st.floats(0.0, 3.0).map(json.dumps),
-    st.sampled_from(['"erm"', '"cat-star"', '"combined"', '"true_label_prob"', '"span"',
-                     "true", "false", "null", "[1]", "[2, 1]", "[]", "{}"]))
+# by field name: the names a string field takes, and seed counts that keep a run short
+FIELD_CHOICES = {"task": TASK_KINDS, "preset": PRESETS, "seeds": (0, 1, 2),
+                 "algorithm": ALGORITHMS, "update_mode": (SEQUENTIAL, COMBINED),
+                 "mask_strategy": MASK_STRATEGIES, "span_mix_strategy": POSITION_STRATEGIES,
+                 "estimator": (MAX_PROB, TRUE_LABEL_PROB)}
 SPEC_FIELDS = ["task", "scm", "seed", "n_train", "n_test", "case_study", "bogus"]
 SCM_FIELDS = ["vocab_size", "n_classes", "causal_tokens_per_class", "seq_len",
               "confound_strength", "label_noise", "seed", "query_len",
@@ -723,15 +793,48 @@ def test_fuzzed_spec_exits_0_2_or_3(fuzz_inputs, capsys, spec):
     _no_traceback(capsys, main(["generate", "--spec", str(path), "--out", str(root / "gen")]))
 
 
+def typed_values(hint):
+    """JSON values of the declared type ``hint``, sized to keep a run short."""
+    if is_dataclass(hint):
+        return st.just({})
+    if typing.get_origin(hint) is tuple:
+        return st.lists(st.integers(1, 2), min_size=1, max_size=2)
+    if typing.get_args(hint):  # a union such as int | None
+        return st.one_of([typed_values(h) for h in typing.get_args(hint)])
+    sizes = st.one_of(st.integers(1, 8), st.sampled_from([16, 32, 64]))  # steps or dimensions
+    return {bool: st.booleans(), int: sizes, float: st.floats(0.05, 3.0),
+            type(None): st.none()}.get(hint, JSON_VALUES)
+
+
+def fitting_values(key):
+    """Values that fit run-config ``key``: its field's choices, else values of the type
+    that its ``train``/``model`` field declares; any JSON for another key."""
+    head, *path = key.split(".")
+    hint = {"train": TrainConfig, "model": ModelConfig}.get(head)
+    for part in path:
+        hint = typing.get_type_hints(hint).get(part) if is_dataclass(hint) else None
+    name = key.rsplit(".", 1)[-1]
+    return st.sampled_from(FIELD_CHOICES[name]) if name in FIELD_CHOICES else typed_values(hint)
+
+
+def set_text(key):
+    """``--set`` text for ``key``: a fitting value nine times in eleven, else any JSON,
+    or any text, which ``--set`` takes as a bare string."""
+    return st.sampled_from([fitting_values(key).map(json.dumps)] * 9 + [
+        JSON_VALUES.map(json.dumps), st.text(max_size=6)]).flatmap(lambda text: text)
+
+
+def entries(keys, values, **size):
+    """Dicts over ``keys``, each value drawn by ``values(key)``."""
+    return st.lists(st.sampled_from(keys).flatmap(
+        lambda key: st.tuples(st.just(key), values(key))), **size).map(dict)
+
+
 @FUZZ
-@given(assignments=st.lists(
-    st.tuples(st.sampled_from(SET_KEYS),
-              st.one_of(PLAUSIBLE_SET_VALUES, PLAUSIBLE_SET_VALUES,
-                        JSON_VALUES.map(json.dumps), st.text(max_size=6))),
-    min_size=1, max_size=2))
+@given(assignments=entries(SET_KEYS, set_text, min_size=1, max_size=2))
 def test_fuzzed_set_values_exit_0_2_or_3(fuzz_inputs, capsys, assignments):
     data, _, root = fuzz_inputs
-    sets = [arg for key, value in assignments for arg in ("--set", f"{key}={value}")]
+    sets = [arg for key, value in assignments.items() for arg in ("--set", f"{key}={value}")]
     code = main(["train", "--data", str(data), "--preset", "cat", "--seeds", "1",
                  "--out", str(root / "runs"), *FAST_OVERRIDES, "--set", "train.max_steps=4",
                  *sets])
@@ -742,19 +845,17 @@ def test_fuzzed_set_values_exit_0_2_or_3(fuzz_inputs, capsys, assignments):
 FAST_BASE = {"preset": "cat", "seeds": 1,
              "train": {"warmup_steps": 1, "max_steps": 3, "candidate_layers": [1, 2]},
              "model": {"d_model": 8, "n_heads": 2, "n_layers": 2, "d_ff": 8}}
-PLAUSIBLE_VALUES = PLAUSIBLE_SET_VALUES.map(json.loads)
 # grid files that pass the top-level checks more often than arbitrary JSON does
 PLAUSIBLE_GRID = st.fixed_dictionaries({
-    "base": st.dictionaries(st.sampled_from(["task", "preset", "seeds", "bogus"]),
-                            st.one_of(PLAUSIBLE_VALUES, JSON_VALUES), max_size=1),
+    "base": entries(["task", "preset", "seeds", "bogus"],
+                    lambda key: st.one_of(fitting_values(key), JSON_VALUES), max_size=1),
     "grid": st.one_of(
         st.dictionaries(st.sampled_from(["train.max_steps", "train.adversarial.steps", "seeds"]),
                         st.lists(st.integers(0, 3), min_size=1, max_size=2),
                         min_size=1, max_size=2),
-        st.dictionaries(st.sampled_from(SET_KEYS + ["seeds"]),
-                        st.one_of(st.lists(st.one_of(PLAUSIBLE_VALUES, JSON_VALUES),
-                                           min_size=1, max_size=2), JSON_VALUES),
-                        min_size=1, max_size=2)),
+        entries(SET_KEYS + ["seeds"], lambda key: st.one_of(st.lists(
+            st.one_of(fitting_values(key), JSON_VALUES), min_size=1, max_size=2), JSON_VALUES),
+                min_size=1, max_size=2)),
 })
 
 

@@ -6,7 +6,6 @@ import pytest
 from cat_lab.datagen import (
     CLASSIFICATION,
     SPAN,
-    Dataset,
     DatasetFormatError,
     SCMSpec,
     generate_case_study,

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cat_lab import mixing
 from cat_lab.autodiff import Tape, Tensor, backward, reduce_sum
 from cat_lab.mixing import (
     CONTEXT_ONLY,

@@ -16,7 +16,6 @@ from cat_lab.autodiff import ParameterBuffer, Tape, Tensor, backward
 from cat_lab.cli import preset_model_config, preset_train_config
 from cat_lab.datagen import SCMSpec, generate_classification, generate_span_task
 from cat_lab.encoder import EncoderModel, ModelConfig
-from cat_lab.mixing import BetaParams
 from cat_lab.risk import RiskConfig, erm_loss
 from cat_lab.trainer import (
     COMBINED,
