@@ -2,9 +2,8 @@
 """Fixed 50-step metrics trajectories, for checking that a refactor moved nothing.
 
 ``write OUT.json`` trains every preset (erm, cat-star, cat) on the default
-classification and span presets, plus the cat preset with each non-default
-code path of the counterfactual step switched on (cross-batch partners,
-per-sample blend layers, the combined update, the true-label estimator).
+classification and span presets, plus the cat preset with its one
+non-default code path switched on (``cat+combined``: the combined update).
 Data, model and trainer seeds are fixed, so the file is a pure function of
 the code: 10 warm-up steps, 40 preset steps, and an evaluation at steps 25
 and 50 on a small iid and ood split. The runs go side by side on the CPUs
@@ -35,23 +34,15 @@ DATA_SEED = 17
 def runs():
     """(name, task, train config) for every trajectory in the file."""
     from cat_lab.cli import preset_train_config
-    from cat_lab.risk import TRUE_LABEL_PROB
     from cat_lab.trainer import COMBINED
 
-    variants = {
-        "cross_batch": lambda c: replace(c, cross_batch_partners=True),
-        "per_sample_layer": lambda c: replace(c, per_sample_layer=True),
-        "combined": lambda c: replace(c, update_mode=COMBINED),
-        "true_label": lambda c: replace(c, risk=replace(c.risk, estimator=TRUE_LABEL_PROB)),
-    }
     for task in ("classification", "span"):
         for preset in ("erm", "cat-star", "cat"):
             config = replace(preset_train_config(preset, task), warmup_steps=WARMUP,
                              max_steps=STEPS, eval_interval=EVAL_INTERVAL, seed=0)
             yield f"{task}/{preset}", task, config
             if preset == "cat":
-                for variant, apply_to in variants.items():
-                    yield f"{task}/cat+{variant}", task, apply_to(config)
+                yield f"{task}/cat+combined", task, replace(config, update_mode=COMBINED)
 
 
 def history(job):

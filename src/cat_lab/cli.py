@@ -230,13 +230,16 @@ def _load_json(path: Path, what: str) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON in {what}: {exc.msg}"
         ) from exc
     except RecursionError as exc:
         raise ConfigError(f"{path}: {what} is nested too deeply") from exc
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what}: expected an object, got {type(value).__name__}")
+    return value
 
 
 def _apply_dotted(config_dict: dict, dotted: str, raw_value: str) -> None:
@@ -655,6 +658,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_dump_reprs(args) -> int:
+    if args.lam is not None and not 0.0 <= args.lam <= 1.0:
+        raise ConfigError(f"--lam {args.lam} outside [0, 1]")
+    if args.limit < 0:
+        raise ConfigError(f"--limit {args.limit} is negative")
     model = EncoderModel.load(_input_file(args.checkpoint, "checkpoint"))
     dataset = load_jsonl(_input_file(args.data, "dataset"))
     n_layers = model.config.n_layers
@@ -721,8 +728,6 @@ def _run_sweep_cell(payload: tuple) -> dict:
 
 def cmd_sweep(args) -> int:
     grid_spec = _load_json(Path(args.grid), "sweep grid")
-    if not isinstance(grid_spec, dict):
-        raise ConfigError(f"sweep grid: expected an object, got {type(grid_spec).__name__}")
     unknown = sorted(grid_spec.keys() - {"base", "grid"})
     if unknown:
         raise ConfigError(f"sweep grid: unknown key {unknown[0]!r} (it takes 'base' and 'grid')")
@@ -824,7 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--limit", type=int, default=256)
     p.add_argument("--lam", type=float, default=None,
-                   help="fixed coefficient (default: sample from the prior)")
+                   help="fixed coefficient in [0, 1] (default: sample from the prior)")
     p.add_argument("--alpha", type=float, default=0.3)
     p.add_argument("--beta", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)

@@ -1,8 +1,8 @@
 """Counterfactual interpolation plans over hidden states.
 
 A plan pairs every sample with a partner from the same batch, draws a
-Beta-distributed interpolation coefficient per sample, and picks which
-transformer layer the blend happens at.  The coefficient weights the
+Beta-distributed interpolation coefficient per sample, and picks the one
+transformer layer the whole batch blends at.  The coefficient weights the
 partner: coefficient 0 returns the original hidden state, 1 returns the
 partner's.  Span tasks can restrict the blend to a subset of positions via
 a boolean position mask.
@@ -17,21 +17,12 @@ import numpy as np
 from cat_lab import autodiff as ad
 from cat_lab.autodiff import Tensor
 
-# attention-mask strategies for the counterfactual forward pass
-USE_I = "use_i"
-USE_J = "use_j"
-LAST_LAYER = "last_layer"
-MASK_STRATEGIES = (USE_I, USE_J, LAST_LAYER)
-
 # position-mask strategies for span tasks
 DIRECT = "direct"
-CONTEXT_ONLY = "context_only"
-QUERY_ONLY = "query_only"
 NON_ANSWER_CONTEXT = "non_answer_context"
-POSITION_STRATEGIES = (DIRECT, CONTEXT_ONLY, QUERY_ONLY, NON_ANSWER_CONTEXT)
+POSITION_STRATEGIES = (DIRECT, NON_ANSWER_CONTEXT)
 
-SEG_QUERY = 0
-SEG_CONTEXT = 1
+SEG_CONTEXT = 1  # segment label of a context position; query positions are 0
 
 
 @dataclass(frozen=True)
@@ -94,11 +85,11 @@ def sample_beta(params: BetaParams, rng: np.random.Generator,
 
 @dataclass
 class MixPlan:
-    """Per-sample pairing, coefficients, and blend layer(s) for one batch."""
+    """Per-sample pairing and coefficients, and the blend layer, for one batch."""
 
     partner: np.ndarray            # (B,) int, index into the batch
     lam: np.ndarray                # (B,) float in [0, 1]
-    mix_layers: np.ndarray         # (B,) int; constant unless per-sample sampling
+    mix_layers: np.ndarray         # (B,) int, one layer repeated
     position_mask: np.ndarray | None = None  # (B, S) bool; True = blend here
 
     @property
@@ -107,12 +98,12 @@ class MixPlan:
 
 
 def build_mix_plan(batch_size: int, candidate_layers, params: BetaParams,
-                   rng: np.random.Generator, *, per_sample_layer: bool = False,
+                   rng: np.random.Generator, *,
                    position_mask: np.ndarray | None = None) -> MixPlan:
-    """Shuffle-pair the batch, draw fresh coefficients, and pick blend layers.
+    """Shuffle-pair the batch, draw fresh coefficients, and pick one blend layer.
 
-    By default one layer is drawn per batch so the whole batch shares a
-    single split forward; ``per_sample_layer`` draws one per sample instead.
+    One layer per batch, as in Manifold Mixup, so the whole batch shares a
+    single split forward.
     """
     if batch_size < 1:
         raise ValueError("batch must be nonempty")
@@ -121,10 +112,7 @@ def build_mix_plan(batch_size: int, candidate_layers, params: BetaParams,
         raise ValueError("candidate layer set must be nonempty")
     partner = rng.permutation(batch_size)
     lam = np.asarray(sample_beta(params, rng, size=batch_size))
-    if per_sample_layer:
-        mix_layers = layers[rng.integers(0, layers.size, size=batch_size)]
-    else:
-        mix_layers = np.full(batch_size, layers[rng.integers(0, layers.size)])
+    mix_layers = np.full(batch_size, layers[rng.integers(0, layers.size)])
     return MixPlan(partner=partner, lam=lam, mix_layers=mix_layers,
                    position_mask=position_mask)
 
@@ -155,25 +143,6 @@ def interpolate(h_i, h_j, lam, position_mask: np.ndarray | None = None) -> Tenso
     return ad.add(ad.mul(mixed, Tensor(pm)), ad.mul(h_i, Tensor(1.0 - pm)))
 
 
-def resolve_attention_mask(strategy: str, mask_i, mask_j, m: int, n_layers: int):
-    """Attention mask for the counterfactual forward from layer m on.
-
-    ``LAST_LAYER`` means the blend happened after the final layer, so no
-    further attention runs and no mask is needed (returns None).
-    """
-    if strategy == USE_I:
-        return mask_i
-    if strategy == USE_J:
-        return mask_j
-    if strategy == LAST_LAYER:
-        if m != n_layers:
-            raise ValueError(
-                f"last-layer masking requires blending at layer {n_layers}, got {m}"
-            )
-        return None
-    raise ValueError(f"unknown mask strategy {strategy!r}")
-
-
 def qa_position_mask(strategy: str, segment_labels: np.ndarray,
                      answer_span: tuple[int, int] | None = None) -> np.ndarray:
     """Which positions to blend for a span-task sample.
@@ -191,10 +160,6 @@ def qa_position_mask(strategy: str, segment_labels: np.ndarray,
             raise ValueError(f"answer span ({start}, {end}) outside the context segment")
     if strategy == DIRECT:
         return np.ones(segments.shape, dtype=bool)
-    if strategy == CONTEXT_ONLY:
-        return is_context.copy()
-    if strategy == QUERY_ONLY:
-        return segments == SEG_QUERY
     if strategy == NON_ANSWER_CONTEXT:
         if answer_span is None:
             raise ValueError("non-answer-context masking needs the answer span")

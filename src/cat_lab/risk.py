@@ -21,19 +21,10 @@ import numpy as np
 from cat_lab import autodiff as ad
 from cat_lab.autodiff import Tensor
 
-MAX_PROB = "max_prob"
-TRUE_LABEL_PROB = "true_label_prob"
-
-_DENOM_FLOOR = 1e-12
-
-
-class ZeroConfidenceError(ValueError):
-    """A counterfactual confidence is exactly zero, so its ratio is undefined."""
-
 
 @dataclass
 class RiskConfig:
-    """Weight bounds [lower, upper] and the confidence estimator.
+    """Weight bounds [lower, upper].
 
     lower = 0 is allowed (and is the classification default) but leaves the
     weights free to vanish; span training is more stable with a positive
@@ -42,7 +33,6 @@ class RiskConfig:
 
     lower: float = 0.0
     upper: float = 10.0
-    estimator: str = MAX_PROB
 
     def __post_init__(self):
         if self.lower < 0:
@@ -52,8 +42,6 @@ class RiskConfig:
             raise ValueError(
                 f"need lower <= upper, got [{self.lower}, {self.upper}]"
             )
-        if self.estimator not in (MAX_PROB, TRUE_LABEL_PROB):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
 
 
 def _checked_labels(labels, n_classes: int) -> np.ndarray:
@@ -111,38 +99,24 @@ def prediction_terms(outputs, labels) -> tuple[Tensor, Tensor]:
     return loss, functools.reduce(ad.mul, (max_prob(ad.softmax(h)) for h in heads))
 
 
-def _confidence(probs, labels, estimator: str) -> np.ndarray:
-    """Per-sample confidence; for span outputs, the product over both heads."""
+def _confidence(probs) -> np.ndarray:
+    """Per-sample max probability; for span outputs, the product over both heads."""
     heads = probs if isinstance(probs, tuple) else (probs,)
-    if estimator == TRUE_LABEL_PROB:
-        if labels is None:
-            raise ValueError("true_label_prob estimator needs labels")
-        head_labels = labels if isinstance(probs, tuple) else (labels,)
-        return math.prod(
-            np.take_along_axis(p, _checked_labels(y, p.shape[-1])[:, None], axis=-1)[:, 0]
-            for p, y in zip(heads, head_labels))
     for p in heads:
         _check_rows(p)
     return math.prod(p.max(axis=-1) for p in heads)
 
 
-def importance_ratio(probs_original, probs_counterfactual, config: RiskConfig,
-                     labels=None) -> np.ndarray:
+def importance_ratio(probs_original, probs_counterfactual, config: RiskConfig) -> np.ndarray:
     """Unbounded per-sample ratio of original to counterfactual confidence.
 
     Probabilities are arrays, or a tuple of (start, end) arrays for span
-    outputs.  The denominator is floored at 1e-12 so a collapsed
-    counterfactual cannot produce infinities before bounding; an exactly zero
-    confidence is not a distribution and raises ``ZeroConfidenceError``.
+    outputs.  The maximum of a row of k probabilities that sums to 1 is at
+    least 1/k, so the ratio is finite and, up to rounding, at most k (S**2
+    for a span pair over S positions).  ``config`` is unused: the ratio
+    takes the same arguments as ``importance_weights``.
     """
-    num = _confidence(probs_original, labels, config.estimator)
-    den = _confidence(probs_counterfactual, labels, config.estimator)
-    if np.any(den <= 0.0):
-        raise ZeroConfidenceError(
-            "importance ratio: counterfactual confidence is zero; "
-            "predictions are not a probability distribution"
-        )
-    return num / np.clip(den, _DENOM_FLOOR, np.inf)
+    return _confidence(probs_original) / _confidence(probs_counterfactual)
 
 
 def bound_weights(omega, config: RiskConfig) -> np.ndarray:
@@ -150,10 +124,10 @@ def bound_weights(omega, config: RiskConfig) -> np.ndarray:
     return np.clip(omega, config.lower, config.upper)
 
 
-def importance_weights(probs_original, probs_counterfactual, config: RiskConfig,
-                       labels=None) -> np.ndarray:
+def importance_weights(probs_original, probs_counterfactual,
+                       config: RiskConfig) -> np.ndarray:
     """Bounded importance ratios: the per-sample weights of ``crm_loss``."""
-    raw = importance_ratio(probs_original, probs_counterfactual, config, labels)
+    raw = importance_ratio(probs_original, probs_counterfactual, config)
     return bound_weights(raw, config)
 
 

@@ -32,24 +32,14 @@ from cat_lab.autodiff import GradientMap, ParameterBuffer, Tape, Tensor, backwar
 from cat_lab.datagen import CLASSIFICATION, SPAN, Dataset
 from cat_lab.encoder import CLS_POSITION, EncoderModel, ModelConfig
 from cat_lab.mixing import (
-    LAST_LAYER,
-    MASK_STRATEGIES,
     NON_ANSWER_CONTEXT,
     POSITION_STRATEGIES,
-    USE_I,
     BetaParams,
     build_mix_plan,
     interpolate,
     qa_position_mask,
-    resolve_attention_mask,
 )
-from cat_lab.risk import (
-    RiskConfig,
-    ZeroConfidenceError,
-    crm_loss,
-    erm_loss,
-    importance_weights,
-)
+from cat_lab.risk import RiskConfig, crm_loss, erm_loss, importance_weights
 
 SEQUENTIAL = "sequential"
 COMBINED = "combined"
@@ -87,10 +77,10 @@ def forward_to_head(model: EncoderModel, task: str, h: Tensor, from_layer: int,
 def frozen_parameters(model: EncoderModel):
     """Stop gradient flow into the model on the counterfactual side of a step.
 
-    The cross-batch partner forward, the adversarial inner loop and the
-    final counterfactual prediction feed only constant weights and the
-    coefficient gradients, so on detached states nothing inside records a
-    parameter parent (whose gradient would be discarded).
+    The adversarial inner loop and the final counterfactual prediction feed
+    only constant weights and the coefficient gradients, so on detached
+    states nothing inside records a parameter parent (whose gradient would
+    be discarded).
     """
     params = list(model.parameters().values())
     for p in params:
@@ -103,7 +93,7 @@ def frozen_parameters(model: EncoderModel):
 
 
 class DivergenceError(RuntimeError):
-    """A loss, a gradient or a counterfactual confidence collapsed.
+    """A loss or a gradient became non-finite.
 
     ``Trainer.train`` attaches the history so far and the last good
     parameter snapshot.
@@ -135,10 +125,7 @@ class TrainConfig:
     adversarial: AdversarialConfig = field(default_factory=AdversarialConfig)
     risk: RiskConfig = field(default_factory=RiskConfig)
     update_mode: str = SEQUENTIAL
-    mask_strategy: str = USE_I
     span_mix_strategy: str = NON_ANSWER_CONTEXT
-    per_sample_layer: bool = False
-    cross_batch_partners: bool = False
     seed: int = 0
     eval_interval: int = 0            # 0 = evaluate only at the end
     eval_batch_size: int = 256
@@ -156,8 +143,6 @@ class TrainConfig:
             raise ValueError("lr_warmup_steps must be >= 0")
         if not self.candidate_layers:
             raise ValueError("candidate layer set must be nonempty")
-        if self.mask_strategy not in MASK_STRATEGIES:
-            raise ValueError(f"unknown mask strategy {self.mask_strategy!r}")
         if self.span_mix_strategy not in POSITION_STRATEGIES:
             raise ValueError(f"unknown span mix strategy {self.span_mix_strategy!r}")
 
@@ -238,11 +223,6 @@ class Trainer:
                 raise ValueError(
                     f"candidate layer {q} outside valid range [1, {n_layers}]"
                 )
-            if config.mask_strategy == LAST_LAYER and q != n_layers:
-                raise ValueError(
-                    f"mask strategy {LAST_LAYER!r} blends after the last layer, so "
-                    f"every candidate layer must be {n_layers}, got {q}"
-                )
         self.model = model
         self.config = config
         self.task = task
@@ -281,14 +261,11 @@ class Trainer:
             return self.model.span_logits(h_last, mask)
         return self.model.classify(h_last, mask)
 
-    def _heads(self, outputs) -> tuple:
-        """Head outputs as a tuple: (start, end) logits, or (class logits,)."""
-        return outputs if self.task == SPAN else (outputs,)
-
-    def _probs(self, heads):
-        """Softmax of each head's logit array: the weights are constants."""
-        probs = tuple(ad._softmax_last(h) for h in heads)
-        return probs if self.task == SPAN else probs[0]
+    def _probs(self, outputs):
+        """Softmax of each head's logits as plain arrays: the weights are constants."""
+        if self.task == SPAN:
+            return tuple(ad._softmax_last(h.data) for h in outputs)
+        return ad._softmax_last(outputs.data)
 
     def _position_mask(self, dataset: Dataset, idx: np.ndarray):
         if self.task != SPAN:
@@ -300,15 +277,9 @@ class Trainer:
         ]
         return np.stack(rows)
 
-    def _make_predict(self, m: int, attn_mask, fill_mask):
-        model = self.model
-
+    def _make_predict(self, m: int, mask):
         def predict(mixed):
-            h_last = forward_to_head(model, self.task, mixed, m, attn_mask)
-            if self.task == SPAN:
-                span_mask = attn_mask if attn_mask is not None else fill_mask
-                return model.span_logits(h_last, span_mask)
-            return model.classify(h_last, attn_mask)
+            return self._head(forward_to_head(self.model, self.task, mixed, m, mask), mask)
 
         return predict
 
@@ -349,88 +320,35 @@ class Trainer:
             "cal_param_delta": None,
         }
 
-    def _staged_forward(self, tokens: np.ndarray, blend_layers: list[int]):
-        """Embed ``tokens`` and keep the hidden states at each blend layer."""
-        h, mask = self.model.embed(tokens)
-        stage, prev = {}, 0
-        for m in blend_layers:
-            h = self.model.forward_layers(h, prev, m, mask)
-            stage[m] = h
-            prev = m
-        return stage, mask
-
     def cat_step(self, dataset: Dataset, idx: np.ndarray) -> dict:
         cfg = self.config
         model = self.model
-        n_layers = model.config.n_layers
         tokens = dataset.tokens[idx]
         labels = self._labels(dataset, idx)
         position_mask = self._position_mask(dataset, idx)
 
-        plan = build_mix_plan(
-            idx.size, cfg.candidate_layers, cfg.beta, self.rng,
-            per_sample_layer=cfg.per_sample_layer, position_mask=position_mask,
-        )
-        blend_layers = sorted(set(plan.mix_layers.tolist()))
+        plan = build_mix_plan(idx.size, cfg.candidate_layers, cfg.beta, self.rng,
+                              position_mask=position_mask)
+        m = int(plan.mix_layers[0])
 
         with Tape():
-            # original forward, caching states at every blend layer
-            h_stage, mask = self._staged_forward(tokens, blend_layers)
-            last = blend_layers[-1]
-            h_last = forward_to_head(model, self.task, h_stage[last], last, mask)
-            outputs = self._head(h_last, mask)
+            # original forward, keeping the states at the blend layer
+            h0, mask = model.embed(tokens)
+            h_m = model.forward_layers(h0, 0, m, mask)
+            outputs = self._head(forward_to_head(model, self.task, h_m, m, mask), mask)
 
             # counterfactual side on detached states: records nothing, and the
-            # parameters must not move
+            # parameters must not move; sample i blends with sample partner[i]
             before = model.buffer.flat.copy()
-            lam = plan.lam.copy()
-            cf_heads = [np.empty(o.shape) for o in self._heads(outputs)]
             with frozen_parameters(model):
-                # sample i blends with row partner_rows[i] of the partner states
-                if cfg.cross_batch_partners:
-                    partner_idx = self.rng.integers(0, len(dataset), size=idx.size)
-                    partner_stage, partner_mask = self._staged_forward(
-                        dataset.tokens[partner_idx], blend_layers
-                    )
-                    partner_rows = np.arange(idx.size)
-                else:
-                    partner_stage, partner_mask, partner_rows = h_stage, mask, plan.partner
-
-                # per blend layer: ascend λ for the rows blending there, then
-                # predict at the final λ
-                for m in blend_layers:
-                    rows = np.flatnonzero(plan.mix_layers == m)
-                    partners = partner_rows[rows]
-                    h_i = Tensor(h_stage[m].data[rows])
-                    h_j = Tensor(partner_stage[m].data[partners])
-                    sub_labels = (tuple(l[rows] for l in labels) if self.task == SPAN
-                                  else labels[rows])
-                    sub_pm = None if position_mask is None else position_mask[rows]
-                    cf_mask = resolve_attention_mask(
-                        cfg.mask_strategy, mask[rows], partner_mask[partners], m, n_layers
-                    )
-                    predict = self._make_predict(m, cf_mask, mask[rows])
-                    sub_plan = replace(plan, partner=plan.partner[rows], lam=lam[rows],
-                                       mix_layers=plan.mix_layers[rows],
-                                       position_mask=sub_pm)
-                    lam[rows] = optimize_lambda(
-                        sub_plan, h_i, h_j, sub_labels, predict, self.adv_config, sub_pm
-                    ).lam
-                    cf = predict(interpolate(h_i, h_j, lam[rows], sub_pm))
-                    for full, part in zip(cf_heads, self._heads(cf)):
-                        full[rows] = part.data
+                h_i, h_j = Tensor(h_m.data), Tensor(h_m.data[plan.partner])
+                predict = self._make_predict(m, mask)
+                lam = optimize_lambda(plan, h_i, h_j, labels, predict, self.adv_config,
+                                      position_mask).lam
+                cf = predict(interpolate(h_i, h_j, lam, position_mask))
             cal_param_delta = float(np.abs(model.buffer.flat - before).sum())
 
-            try:
-                weights = importance_weights(
-                    self._probs([o.data for o in self._heads(outputs)]),
-                    self._probs(cf_heads), cfg.risk, labels=labels,
-                )
-            except ZeroConfidenceError as exc:
-                raise DivergenceError(
-                    "counterfactual confidence collapsed to zero "
-                    f"at step {self.step_count}"
-                ) from exc
+            weights = importance_weights(self._probs(outputs), self._probs(cf), cfg.risk)
             crm = crm_loss(outputs, labels, weights)
             if cfg.update_mode == COMBINED:
                 erm_same = erm_loss(outputs, labels)

@@ -18,8 +18,7 @@ import cat_lab.cli
 from cat_lab.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, PRESETS, TASK_KINDS,
                          main, run_seeds)
 from cat_lab.encoder import EncoderModel, ModelConfig
-from cat_lab.mixing import MASK_STRATEGIES, POSITION_STRATEGIES
-from cat_lab.risk import MAX_PROB, TRUE_LABEL_PROB
+from cat_lab.mixing import POSITION_STRATEGIES
 from cat_lab.trainer import ALGORITHMS, COMBINED, SEQUENTIAL, TrainConfig
 from test_acceptance import CRITERION_DATA
 
@@ -228,6 +227,24 @@ def test_train_missing_data_is_config_error(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("value", [[], "span", [1], "x"])
+@pytest.mark.parametrize("command, what", [
+    ("train", "manifest"), ("compare", "manifest"), ("train", "run config")])
+def test_non_object_json_file_is_config_error(dataset_dir, tmp_path, capsys,
+                                              command, what, value):
+    args = [command, "--data", str(dataset_dir), "--out", str(tmp_path / "run")]
+    args += ["--arm", "a=erm"] if command == "compare" else ["--preset", "erm"]
+    if what == "manifest":
+        (dataset_dir / "manifest.json").write_text(json.dumps(value))
+    else:
+        (tmp_path / "run.json").write_text(json.dumps(value))
+        args += ["--config", str(tmp_path / "run.json")]
+    assert main(args) == EXIT_CONFIG
+    assert f"{what}: expected an object, got {type(value).__name__}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_corrupt_dataset_is_data_error(tmp_path):
     data = tmp_path / "data"
     data.mkdir()
@@ -278,13 +295,17 @@ def test_train_rejects_unknown_config_field(dataset_dir, tmp_path):
 
 
 @pytest.mark.parametrize("assignment, field", [
-    ("train.mask_strategy=bogus", "mask strategy"),
     ("train.span_mix_strategy=bogus", "span mix strategy"),
+    ("train.span_mix_strategy=context_only", "span mix strategy 'context_only'"),
     ("model.dropout=0.5", "dropout"),
     ("train.adversarial.norm_order=2", "norm_order"),
-    ("train.mask_strategy=last_layer", "last_layer"),
+    ("train.candidate_layers=[9]", "candidate layer 9"),
     ("train.track_param_freeze=false", "track_param_freeze"),
     ("train.risk.detach_weights=false", "detach_weights"),
+    ("train.per_sample_layer=true", "per_sample_layer"),
+    ("train.cross_batch_partners=true", "cross_batch_partners"),
+    ("train.mask_strategy=use_i", "mask_strategy"),
+    ("train.risk.estimator=max_prob", "estimator"),
 ])
 @pytest.mark.parametrize("seeds", ["1", "2"])  # one seed in process, two in a pool
 def test_train_rejects_bad_field_before_training(dataset_dir, tmp_path, capsys,
@@ -365,10 +386,10 @@ def test_compare_one_preset_as_two_arms_differs_by_exactly_zero(dataset_dir, tmp
     (["--arm", "a=cat", "--arm", "b=bogus"], "unknown preset 'bogus'"),
     (["--arm", "a=cat", "--arm", "b=cat", "--set", "c.train.max_steps=3"], "'c.train.max_st"),
     (["--arm", "a=cat", "--arm", "b=cat", "--set", "train.bogus=1"], "a.train: unknown field"),
-    (["--arm", "a=cat", "--arm", "b=cat", "--set", "b.train.mask_strategy=bogus"],
-     "b.train: unknown mask strategy 'bogus'"),
-    (["--arm", "a=cat", "--arm", "b=cat", "--set", "b.train.mask_strategy=last_layer"],
-     "arm b: mask strategy 'last_layer'"),
+    (["--arm", "a=cat", "--arm", "b=cat", "--set", "b.train.span_mix_strategy=bogus"],
+     "b.train: unknown span mix strategy 'bogus'"),
+    (["--arm", "a=cat", "--arm", "b=cat", "--set", "b.train.candidate_layers=[9]"],
+     "arm b: candidate layer 9"),
     (["--arm", "a=cat", "--arm", "b=cat", "--set", "b.train.seed=3"], "seeds from --seeds"),
 ])
 def test_compare_rejects_malformed_input_before_any_run(dataset_dir, tmp_path, capsys,
@@ -445,14 +466,24 @@ def test_dump_reprs_rows_flags_and_lambda_zero(dataset_dir, tmp_path):
                                atol=1e-12)
 
 
-def test_dump_reprs_layer_out_of_range(dataset_dir, tmp_path):
+@pytest.mark.parametrize("flags, message", [
+    (["--layer", "9"], "layer 9 outside valid range"),
+    (["--lam", "nan"], "--lam nan outside [0, 1]"),
+    (["--lam", "7"], "--lam 7.0 outside [0, 1]"),
+    (["--lam", "-0.5"], "--lam -0.5 outside [0, 1]"),
+    (["--limit", "-3"], "--limit -3 is negative"),
+])
+def test_dump_reprs_layer_out_of_range(dataset_dir, tmp_path, capsys, flags, message):
     run = tmp_path / "run"
     assert main(["train", "--data", str(dataset_dir), "--preset", "erm",
                  "--seeds", "1", "--out", str(run), *FAST_OVERRIDES]) == EXIT_OK
+    out = tmp_path / "x.csv"
     code = main(["dump-reprs", "--checkpoint", str(run / "seed_0" / "model.npz"),
                  "--data", str(dataset_dir / "test_iid.jsonl"),
-                 "--layer", "9", "--out", str(tmp_path / "x.csv")])
+                 "--layer", "1", *flags, "--out", str(out)])
     assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, missing", [
@@ -724,20 +755,18 @@ JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
     max_leaves=6)
 SET_KEYS = [
     "train", "model", "task", "preset", "bogus", "train.algorithm", "train.update_mode",
-    "train.risk", "train.risk.lower", "train.risk.upper", "train.risk.estimator",
+    "train.risk", "train.risk.lower", "train.risk.upper",
     "train.adversarial", "train.adversarial.steps", "train.adversarial.step_size",
     "train.adversarial.gamma", "train.beta", "train.beta.alpha", "train.candidate_layers",
     "train.batch_size", "train.eval_batch_size", "train.lr_warmup_steps", "train.max_steps",
-    "train.warmup_steps", "train.eval_interval", "train.grad_clip", "train.mask_strategy",
-    "train.per_sample_layer", "train.cross_batch_partners", "train.seed", "train.bogus",
+    "train.warmup_steps", "train.eval_interval", "train.grad_clip", "train.seed", "train.bogus",
     "model.n_heads", "model.n_layers", "model.d_model", "model.d_ff", "model.vocab_size",
     "model.max_seq_len", "model.n_classes", "model.use_span_head", "model.pad_id",
 ]
 # by field name: the names a string field takes, and seed counts that keep a run short
 FIELD_CHOICES = {"task": TASK_KINDS, "preset": PRESETS, "seeds": (0, 1, 2),
                  "algorithm": ALGORITHMS, "update_mode": (SEQUENTIAL, COMBINED),
-                 "mask_strategy": MASK_STRATEGIES, "span_mix_strategy": POSITION_STRATEGIES,
-                 "estimator": (MAX_PROB, TRUE_LABEL_PROB)}
+                 "span_mix_strategy": POSITION_STRATEGIES}
 SPEC_FIELDS = ["task", "scm", "seed", "n_train", "n_test", "case_study", "bogus"]
 SCM_FIELDS = ["vocab_size", "n_classes", "causal_tokens_per_class", "seq_len",
               "confound_strength", "label_noise", "seed", "query_len",

@@ -10,19 +10,13 @@ from scipy import stats
 
 from cat_lab.autodiff import Tape, Tensor, backward, reduce_sum
 from cat_lab.mixing import (
-    CONTEXT_ONLY,
     DIRECT,
-    LAST_LAYER,
     NON_ANSWER_CONTEXT,
-    QUERY_ONLY,
-    USE_I,
-    USE_J,
     BetaParams,
     build_mix_plan,
     gamma_sample,
     interpolate,
     qa_position_mask,
-    resolve_attention_mask,
     sample_beta,
 )
 from oracles import beta_cdf, beta_moment
@@ -124,12 +118,6 @@ def test_build_mix_plan_layer_frequencies():
     assert abs(freq - 0.5) < 3 * sigma
 
 
-def test_build_mix_plan_per_sample_layers():
-    rng = np.random.default_rng(12)
-    plan = build_mix_plan(512, [1, 2, 3], BetaParams(), rng, per_sample_layer=True)
-    assert set(np.unique(plan.mix_layers)) == {1, 2, 3}
-
-
 def test_build_mix_plan_partner_is_permutation():
     rng = np.random.default_rng(2)
     plan = build_mix_plan(16, [2], BetaParams(), rng)
@@ -197,20 +185,6 @@ def test_interpolate_shape_mismatch():
         interpolate(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros(2))
 
 
-def test_resolve_attention_mask_strategies():
-    mask_i = np.array([1.0, 1.0, 0.0])
-    mask_j = np.array([1.0, 0.0, 0.0])
-    np.testing.assert_array_equal(
-        resolve_attention_mask(USE_I, mask_i, mask_j, 2, 4), mask_i
-    )
-    np.testing.assert_array_equal(
-        resolve_attention_mask(USE_J, mask_i, mask_j, 2, 4), mask_j
-    )
-    assert resolve_attention_mask(LAST_LAYER, mask_i, mask_j, 4, 4) is None
-    with pytest.raises(ValueError, match="last-layer"):
-        resolve_attention_mask(LAST_LAYER, mask_i, mask_j, 3, 4)
-
-
 def test_qa_position_mask_strategies():
     # positions 0..3 query, 4..11 context, answer 6..7
     segments = np.array([0] * 4 + [1] * 8)
@@ -220,16 +194,8 @@ def test_qa_position_mask_strategies():
     np.testing.assert_array_equal(
         qa_position_mask(DIRECT, segments, answer), np.ones(12, dtype=bool)
     )
-    context = qa_position_mask(CONTEXT_ONLY, segments, answer)
-    assert set(np.flatnonzero(context)) == set(range(4, 12))
-    query = qa_position_mask(QUERY_ONLY, segments, answer)
-    assert set(np.flatnonzero(query)) == {0, 1, 2, 3}
-
-
-def test_qa_position_mask_empty_query_is_all_false():
-    segments = np.ones(8, dtype=int)
-    mask = qa_position_mask(QUERY_ONLY, segments, (2, 3))
-    assert not mask.any()
+    with pytest.raises(ValueError, match="unknown position strategy"):
+        qa_position_mask("context_only", segments, answer)
 
 
 def test_qa_position_mask_answer_outside_context_fails():
@@ -246,13 +212,11 @@ def test_qa_position_mask_partition_property(query_len, data):
     start = data.draw(st.integers(query_len, query_len + context_len - 1))
     end = data.draw(st.integers(start, query_len + context_len - 1))
     non_answer = qa_position_mask(NON_ANSWER_CONTEXT, segments, (start, end))
-    context = qa_position_mask(CONTEXT_ONLY, segments, (start, end))
-    query = qa_position_mask(QUERY_ONLY, segments, (start, end))
-    # query + context partition all positions; answer removed from non-answer
-    assert np.all(query | context)
-    assert not np.any(query & context)
-    assert not non_answer[start : end + 1].any()
-    np.testing.assert_array_equal(non_answer | ~context, ~context | non_answer)
+    answer = np.zeros(segments.size, dtype=bool)
+    answer[start : end + 1] = True
+    # the answer and the non-answer positions partition the context
+    assert not np.any(non_answer & answer)
+    np.testing.assert_array_equal(non_answer | answer, segments == 1)
 
 
 def test_mix_plan_draws_are_deterministic_per_seed():
