@@ -1,4 +1,4 @@
-"""Command-line harness: dataset generation, training, evaluation, sweeps.
+"""Command-line harness: dataset generation, training, comparison, evaluation.
 
 Subcommands
 -----------
@@ -6,7 +6,6 @@ generate    write train/test jsonl splits plus a manifest from a spec file
 train       run one preset/config per seed, writing metrics + checkpoints
 compare     train named arms over shared seeds; paired differences to the first arm
 eval        score a saved checkpoint on a dataset file
-sweep       run a grid of config overrides, one summary row per cell
 dump-reprs  export pooled original/counterfactual vectors as CSV
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 diverged run.
@@ -15,7 +14,6 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 diverged run.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -284,11 +282,9 @@ def _parse_seeds(value, base_seed: int) -> list[int]:
     return value
 
 
-# top-level run config keys and the JSON types they take ("_overrides" is
-# the sweep cell's record of its grid values)
+# top-level run config keys and the JSON types they take
 RUN_CONFIG_TYPES = {"task": str, "data": str, "preset": str, "out": str,
-                    "seeds": (int, str, list), "train": dict, "model": dict,
-                    "_overrides": dict}
+                    "seeds": (int, str, list), "train": dict, "model": dict}
 
 
 def _check_run_config(config: dict) -> None:
@@ -404,10 +400,10 @@ def run_seeds(fn, jobs: list) -> list:
     """``[fn(job) for job in jobs]``, run side by side on every CPU this process may use.
 
     Each ``fn(job)`` must be a pure function of its job, so where it runs
-    changes no result. One usable CPU (``taskset`` sets how many), one job,
-    or a call from inside a worker runs the jobs here, in order; otherwise a
-    spawned pool runs them, one BLAS thread per worker. The first failing
-    job's exception, in submission order, is raised here.
+    changes no result. One usable CPU (``taskset`` sets how many) or one job
+    runs the jobs here, in order; otherwise a spawned pool runs them, one
+    BLAS thread per worker. The first failing job's exception, in submission
+    order, is raised here.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -415,7 +411,7 @@ def run_seeds(fn, jobs: list) -> list:
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(len(jobs), cpus)
-    if workers <= 1 or multiprocessing.parent_process() is not None:
+    if workers <= 1:
         return [fn(job) for job in jobs]
     blas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # each worker inherits it as it starts
@@ -445,7 +441,7 @@ def _train_seed(job: tuple) -> dict:
             rescue = EncoderModel(model_config, rng=None)
             rescue.load_snapshot(exc.last_good)
             rescue.save(run_dir / "model.npz")
-        raise
+        raise DivergenceError(f"{run_dir}: {exc}") from exc
     wall = time.perf_counter() - started
     # training evaluated every split after its last step; zero steps did not
     final_eval = (trainer.last_eval if history
@@ -563,8 +559,9 @@ def compare_arms(arms: dict, seeds: list[int] | range, task: str, train_set: Dat
     """Train every arm, a (model config, train config) pair by name, on the same seeds.
 
     Seed N of arm NAME writes ``out/NAME/seed_N`` as ``train`` does. Per arm:
-    ``per_seed`` final evaluations, their ``aggregate``, and ``vs_reference``,
-    the arm minus the first arm paired by seed (mean, SE, wins and ties).
+    its ``model_config`` and ``train_config``, ``per_seed`` final evaluations,
+    their ``aggregate``, and ``vs_reference``, the arm minus the first arm
+    paired by seed (mean, SE, wins and ties).
     """
     for name, (model_config, train_config) in arms.items():
         try:  # build each arm's trainer first, so a bad arm fails before any run
@@ -582,7 +579,8 @@ def compare_arms(arms: dict, seeds: list[int] | range, task: str, train_set: Dat
     reports = iter(run_seeds(_train_seed, jobs))
     per_seed = {name: {seed: next(reports) for seed in seeds} for name in arms}
     ref = _metric_arrays(next(iter(per_seed.values())))
-    return {name: {"per_seed": runs, "aggregate": _aggregate(runs),
+    return {name: {"model_config": asdict(arms[name][0]), "train_config": asdict(arms[name][1]),
+                   "per_seed": runs, "aggregate": _aggregate(runs),
                    "vs_reference": {split: {metric: _paired(values - ref[split][metric])
                                             for metric, values in metrics.items()}
                                     for split, metrics in _metric_arrays(runs).items()}}
@@ -706,71 +704,6 @@ def cmd_dump_reprs(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sweep
-# ---------------------------------------------------------------------------
-
-
-def _run_sweep_cell(payload: tuple) -> dict:
-    cell_id, config = payload
-    try:
-        summary = run_training(config)
-        flat = {}
-        for split, metrics in summary["aggregate"].items():
-            for metric, value in metrics.items():
-                flat[f"{split}_{metric}_mean"] = value["mean"]
-                flat[f"{split}_{metric}_sd"] = value["sd"]
-        return {"cell": cell_id, "status": "ok", "metrics": flat,
-                "overrides": config.get("_overrides", {})}
-    except Exception as exc:  # cell failures are recorded, the sweep continues
-        return {"cell": cell_id, "status": f"error: {exc}",
-                "metrics": {}, "overrides": config.get("_overrides", {})}
-
-
-def cmd_sweep(args) -> int:
-    grid_spec = _load_json(Path(args.grid), "sweep grid")
-    unknown = sorted(grid_spec.keys() - {"base", "grid"})
-    if unknown:
-        raise ConfigError(f"sweep grid: unknown key {unknown[0]!r} (it takes 'base' and 'grid')")
-    base = grid_spec.get("base")
-    if not isinstance(base, dict):
-        raise ConfigError("sweep grid needs a 'base' run config object")
-    grid = grid_spec.get("grid", {})
-    if not isinstance(grid, dict) or not grid:
-        raise ConfigError("sweep grid needs a nonempty 'grid' object")
-    for key, values in grid.items():
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"sweep grid: {key!r} needs a nonempty list of values")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    keys = sorted(grid)
-    cells = []
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        overrides = dict(zip(keys, combo))
-        config = json.loads(json.dumps(base))  # deep copy
-        for dotted, value in overrides.items():
-            _apply_dotted(config, dotted, json.dumps(value))
-        cell_id = len(cells)
-        config["out"] = str(out / f"cell_{cell_id}")
-        config["_overrides"] = overrides
-        cells.append((cell_id, config))
-
-    results = run_seeds(_run_sweep_cell, cells)
-    metric_cols = sorted({k for r in results for k in r["metrics"]})
-    with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
-        fh.write(",".join(["cell", "overrides", "status"] + metric_cols) + "\n")
-        for r in results:
-            row = [str(r["cell"]), json.dumps(r["overrides"]).replace(",", ";"),
-                   r["status"].replace(",", ";")]
-            row += [repr(r["metrics"][c]) if c in r["metrics"] else ""
-                    for c in metric_cols]
-            fh.write(",".join(row) + "\n")
-    failed = sum(1 for r in results if r["status"] != "ok")
-    print(f"sweep finished: {len(results) - failed}/{len(results)} cells ok")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
@@ -815,11 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset jsonl file")
     p.add_argument("--out", help="optional JSON output path")
     p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("sweep", help="run a hyperparameter grid")
-    p.add_argument("--grid", required=True, help="sweep grid JSON")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("dump-reprs",
                        help="export pooled original/counterfactual vectors")

@@ -107,14 +107,13 @@ def _confidence(probs) -> np.ndarray:
     return math.prod(p.max(axis=-1) for p in heads)
 
 
-def importance_ratio(probs_original, probs_counterfactual, config: RiskConfig) -> np.ndarray:
+def importance_ratio(probs_original, probs_counterfactual) -> np.ndarray:
     """Unbounded per-sample ratio of original to counterfactual confidence.
 
     Probabilities are arrays, or a tuple of (start, end) arrays for span
     outputs.  The maximum of a row of k probabilities that sums to 1 is at
     least 1/k, so the ratio is finite and, up to rounding, at most k (S**2
-    for a span pair over S positions).  ``config`` is unused: the ratio
-    takes the same arguments as ``importance_weights``.
+    for a span pair over S positions).
     """
     return _confidence(probs_original) / _confidence(probs_counterfactual)
 
@@ -127,8 +126,7 @@ def bound_weights(omega, config: RiskConfig) -> np.ndarray:
 def importance_weights(probs_original, probs_counterfactual,
                        config: RiskConfig) -> np.ndarray:
     """Bounded importance ratios: the per-sample weights of ``crm_loss``."""
-    raw = importance_ratio(probs_original, probs_counterfactual, config)
-    return bound_weights(raw, config)
+    return bound_weights(importance_ratio(probs_original, probs_counterfactual), config)
 
 
 def crm_loss(logits, labels, weights) -> Tensor:

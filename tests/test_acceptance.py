@@ -130,7 +130,7 @@ def test_criterion_3_degenerations():
         erm_loss(orig_logits, labels).item()
 
     # (c) equal distributions give ratio exactly 1
-    assert np.array_equal(importance_ratio(probs, probs, RiskConfig()), np.ones(6))
+    assert np.array_equal(importance_ratio(probs, probs), np.ones(6))
 
     # (d) zero inner steps: the full algorithm equals its no-ascent ablation
     spec = SCMSpec(vocab_size=32, causal_tokens_per_class=4, seed=3)

@@ -410,6 +410,27 @@ def test_compare_warns_when_an_arm_trains_past_one_epoch(dataset_dir, tmp_path, 
                    "--set", f"b.train.max_steps={max_steps}", "--seeds", "1") == EXIT_OK
     err = capsys.readouterr().err
     assert ("arm b trains past one epoch" in err) == warns and "arm a" not in err
+    arms = json.loads((tmp_path / "cmp" / "compare.json").read_text())["arms"]
+    assert [arms[n]["train_config"]["max_steps"] for n in "ab"] == [5, max_steps]
+    assert {arms[n]["train_config"]["batch_size"] for n in "ab"} == {batch_size}
+    assert {arms[n]["model_config"]["d_model"] for n in "ab"} == {8}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_compare_diverging_arm_exits_4_naming_its_run(dataset_dir, tmp_path, capsys,
+                                                      monkeypatch):
+    usable_cpus(monkeypatch, 1)
+    out = tmp_path / "cmp"
+    assert compare(dataset_dir, out, "--arm", "a=erm", "--arm", "b=erm", "--seeds", "1",
+                   "--set", "train.lr_warmup_steps=0", "--set", "train.warmup_steps=0",
+                   "--set", "b.train.base_lr=1e200") == EXIT_DIVERGED
+    assert f"{out / 'b' / 'seed_0'}: erm loss became non-finite at step 1" in \
+        capsys.readouterr().err
+    with open(out / "b" / "seed_0" / "metrics.csv") as fh:
+        assert [row["step"] for row in csv.DictReader(fh)] == ["1"]
+    with np.load(out / "b" / "seed_0" / "model.npz") as saved:
+        assert all(np.all(np.isfinite(saved[k])) for k in saved.files)
+    assert not (out / "compare.json").exists()
 
 
 @pytest.mark.parametrize("task", CRITERION_DATA)
@@ -425,6 +446,16 @@ def test_readme_specs_generate_the_criteria_data(tmp_path, task):
                              strict=True):
         for name in ("tokens", "labels", "spans", "segments"):
             np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
+
+
+def test_docs_name_exactly_the_cli_subcommands():
+    commands = next(a.choices for a in cat_lab.cli.build_parser()._actions
+                    if a.dest == "command")
+    cli_block = (Path(__file__).parents[1] / "README.md").read_text() \
+        .split("## CLI")[1].split("```")[1]
+    assert set(re.findall(r"^cat-lab (\S+)", cli_block, re.MULTILINE)) == set(commands)
+    table = cat_lab.cli.__doc__.split("-" * 11 + "\n")[1].split("\n\n")[0]
+    assert sorted(line.split()[0] for line in table.splitlines()) == sorted(commands)
 
 
 def test_eval_subcommand(dataset_dir, tmp_path, capsys):
@@ -565,84 +596,6 @@ def test_fuzzed_checkpoint_is_config_error(fuzz_inputs, capsys, command, blob):
     code = _run_with_checkpoint(command, checkpoint, data, root)
     assert code == EXIT_CONFIG
     assert f"checkpoint {checkpoint}" in capsys.readouterr().err
-
-
-def test_sweep_single_cell_reduces_to_train(dataset_dir, tmp_path):
-    grid = {
-        "base": {
-            "data": str(dataset_dir),
-            "preset": "cat",
-            "seeds": [0],
-            "train": {"warmup_steps": 1, "max_steps": 3,
-                      "candidate_layers": [1, 2]},
-            "model": {"d_model": 8, "n_heads": 2, "n_layers": 2, "d_ff": 8},
-        },
-        "grid": {"train.beta": [{"alpha": 0.3, "beta": 0.3}]},
-    }
-    grid_path = tmp_path / "grid.json"
-    grid_path.write_text(json.dumps(grid))
-    out = tmp_path / "sweep"
-    assert main(["sweep", "--grid", str(grid_path), "--out", str(out)]) == EXIT_OK
-    rows = (out / "sweep.csv").read_text().splitlines()
-    assert len(rows) == 2  # header + one cell
-    assert "ok" in rows[1]
-    assert (out / "cell_0" / "summary.json").exists()
-
-
-@pytest.mark.parametrize("values", [5, [], {"a": 1}])
-def test_sweep_grid_values_must_be_lists(dataset_dir, tmp_path, capsys, values):
-    grid_path = tmp_path / "grid.json"
-    grid_path.write_text(json.dumps({"base": {"data": str(dataset_dir)},
-                                     "grid": {"train.max_steps": values}}))
-    code = main(["sweep", "--grid", str(grid_path), "--out", str(tmp_path / "sweep")])
-    assert code == EXIT_CONFIG
-    assert "train.max_steps" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("grid_file, message", [
-    ([{"base": {}, "grid": {}}], "sweep grid: expected an object, got list"),
-    ("grid", "sweep grid: expected an object, got str"),
-    ({"base": {}, "grid": {"seeds": [[0]]}, "extra": 1}, "unknown key 'extra'"),
-    ({"base": {}, "grids": {"seeds": [[0]]}}, "unknown key 'grids'"),
-])
-def test_sweep_grid_file_is_an_object_of_base_and_grid(tmp_path, capsys, grid_file, message):
-    grid_path = tmp_path / "grid.json"
-    grid_path.write_text(json.dumps(grid_file))
-    out = tmp_path / "sweep"
-    assert main(["sweep", "--grid", str(grid_path), "--out", str(out)]) == EXIT_CONFIG
-    assert message in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_sweep_has_no_workers_flag(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["sweep", "--grid", str(tmp_path / "g.json"), "--out", str(tmp_path / "s"),
-              "--workers", "2"])
-    assert exit_info.value.code == EXIT_CONFIG
-    assert "--workers" in capsys.readouterr().err
-
-
-def test_sweep_records_cell_failures_and_continues(dataset_dir, tmp_path):
-    grid = {
-        "base": {
-            "data": str(dataset_dir),
-            "preset": "cat",
-            "seeds": [0],
-            "train": {"warmup_steps": 1, "max_steps": 2,
-                      "candidate_layers": [1, 2]},
-            "model": {"d_model": 8, "n_heads": 2, "n_layers": 2, "d_ff": 8},
-        },
-        "grid": {"train.batch_size": [4, -1]},  # second cell is invalid
-    }
-    grid_path = tmp_path / "grid.json"
-    grid_path.write_text(json.dumps(grid))
-    out = tmp_path / "sweep"
-    assert main(["sweep", "--grid", str(grid_path), "--out", str(out)]) == EXIT_OK
-    with open(out / "sweep.csv") as fh:
-        rows = list(csv.reader(fh))
-    statuses = [r[2] for r in rows[1:]]
-    assert statuses[0] == "ok"
-    assert statuses[1].startswith("error")
 
 
 # ---------------------------------------------------------------------------
@@ -870,40 +823,28 @@ def test_fuzzed_set_values_exit_0_2_or_3(fuzz_inputs, capsys, assignments):
     _no_traceback(capsys, code)
 
 
-# a fast base run config; a fuzzed "base" object is laid over it
-FAST_BASE = {"preset": "cat", "seeds": 1,
-             "train": {"warmup_steps": 1, "max_steps": 3, "candidate_layers": [1, 2]},
-             "model": {"d_model": 8, "n_heads": 2, "n_layers": 2, "d_ff": 8}}
-# grid files that pass the top-level checks more often than arbitrary JSON does
-PLAUSIBLE_GRID = st.fixed_dictionaries({
-    "base": entries(["task", "preset", "seeds", "bogus"],
-                    lambda key: st.one_of(fitting_values(key), JSON_VALUES), max_size=1),
-    "grid": st.one_of(
-        st.dictionaries(st.sampled_from(["train.max_steps", "train.adversarial.steps", "seeds"]),
-                        st.lists(st.integers(0, 3), min_size=1, max_size=2),
-                        min_size=1, max_size=2),
-        entries(SET_KEYS + ["seeds"], lambda key: st.one_of(st.lists(
-            st.one_of(fitting_values(key), JSON_VALUES), min_size=1, max_size=2), JSON_VALUES),
-                min_size=1, max_size=2)),
-})
+# --arm lists: arms a and b three times in four, else one or two specs that may be
+# malformed, reserved, repeated or free text
+ARM_SPECS = st.sampled_from([
+    st.tuples(st.sampled_from(PRESETS), st.sampled_from(PRESETS)).map(
+        lambda presets: [f"a={presets[0]}", f"b={presets[1]}"])] * 3 + [
+    st.lists(st.one_of(
+        st.tuples(st.sampled_from(["a", "b"]), st.sampled_from(PRESETS)).map("=".join),
+        st.sampled_from(["a", "a=", "=cat", "a/b=cat", "train=cat", "b=bogus"]),
+        st.text(max_size=6)), min_size=1, max_size=2)]).flatmap(lambda arms: arms)
 
 
 @FUZZ
-@given(grid_file=st.one_of(
-    JSON_VALUES,
-    st.dictionaries(st.sampled_from(["base", "grid", "bogus"]), JSON_VALUES, max_size=3),
-    PLAUSIBLE_GRID, PLAUSIBLE_GRID,
-))
-def test_fuzzed_sweep_grid_exits_0_2_or_3(fuzz_inputs, capsys, monkeypatch, grid_file):
+@given(arms=ARM_SPECS,
+       assignments=st.lists(st.tuples(st.sampled_from(["", "a.", "b.", "c."]),
+                                      st.sampled_from(SET_KEYS).flatmap(
+                                          lambda key: st.tuples(st.just(key), set_text(key)))),
+                            max_size=2))
+def test_fuzzed_compare_arms_exit_0_2_or_3(fuzz_inputs, capsys, monkeypatch, arms, assignments):
+    # "--arm=" and "--set=" keep a value that starts with "-" from reading as a flag
     data, _, root = fuzz_inputs
-    usable_cpus(monkeypatch, 1)  # cells run in process; placement is tested above
-    if isinstance(grid_file, dict) and isinstance(grid_file.get("base"), dict):
-        grid_file["base"] = {"data": str(data), **FAST_BASE, **grid_file["base"]}
-    path = root / "fuzzed_grid.json"
-    path.write_text(json.dumps(grid_file))
-    code = main(["sweep", "--grid", str(path), "--out", str(root / "sweep")])
-    captured = capsys.readouterr()
-    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA), captured.err
-    assert "Traceback" not in captured.err
-    assert ("sweep finished" in captured.out if code == EXIT_OK
-            else captured.err.startswith(("config error: ", "data error: ")))
+    usable_cpus(monkeypatch, 1)  # arms run in process; placement is tested above
+    sets = [f"--set={arm}{key}={value}" for arm, (key, value) in assignments]
+    code = compare(data, root / "cmp", *[f"--arm={spec}" for spec in arms], "--seeds", "1",
+                   "--set", "train.max_steps=4", *sets)
+    _no_traceback(capsys, code)

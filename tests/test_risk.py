@@ -68,10 +68,9 @@ def test_max_prob_validates_rows():
 
 
 def test_importance_ratio_arithmetic():
-    cfg = RiskConfig()
     orig = np.array([[0.9, 0.1], [0.5, 0.5], [0.5, 0.5]])
     cf = np.array([[0.3, 0.7], [0.5, 0.5], [1.0, 0.0]])
-    ratio = importance_ratio(orig, cf, cfg)
+    ratio = importance_ratio(orig, cf)
     assert ratio[0] == pytest.approx(0.9 / 0.7, abs=1e-12)
     assert ratio[1] == 1.0  # identical distributions give exactly 1
     assert ratio[2] == 0.5
@@ -79,19 +78,18 @@ def test_importance_ratio_arithmetic():
 
 def test_importance_ratio_equal_distributions_is_exactly_one():
     probs = ad.softmax(Tensor(np.random.default_rng(0).normal(size=(5, 3)))).data
-    ratio = importance_ratio(probs, probs, RiskConfig())
+    ratio = importance_ratio(probs, probs)
     np.testing.assert_array_equal(ratio, 1.0)
 
 
 def test_importance_ratio_spec_values():
-    cfg = RiskConfig()
     a = np.array([[0.9, 0.05, 0.05]])
     b = np.array([[0.3, 0.4, 0.3]])
     # max 0.9 over max 0.4 -> 2.25; and the 0.9/0.3 case via a two-class row
-    assert importance_ratio(a, b, cfg)[0] == pytest.approx(2.25, abs=1e-12)
+    assert importance_ratio(a, b)[0] == pytest.approx(2.25, abs=1e-12)
     c = np.array([[0.9, 0.1]])
     d = np.array([[0.3, 0.7]])
-    assert importance_ratio(c, d, cfg)[0] == pytest.approx(0.9 / 0.7, abs=1e-12)
+    assert importance_ratio(c, d)[0] == pytest.approx(0.9 / 0.7, abs=1e-12)
 
 
 def distributions(n_rows: int, k: int):
@@ -111,7 +109,7 @@ def test_importance_ratio_is_finite_positive_and_at_most_k(data, n, k, heads):
         probs = tuple(data.draw(distributions(n, k)) for _ in range(heads))
         return probs if heads == 2 else probs[0]
 
-    ratio = importance_ratio(draw(), draw(), RiskConfig())
+    ratio = importance_ratio(draw(), draw())
     assert ratio.shape == (n,)
     assert np.all(np.isfinite(ratio)) and np.all(ratio > 0)
     assert np.all(ratio <= k**heads * (1 + 1e-12))
@@ -124,7 +122,7 @@ SPAN_COUNTERFACTUAL = (np.array([[0.4, 0.4, 0.2], [0.1, 0.7, 0.2]]),
 
 
 def test_span_max_prob_ratio_multiplies_heads():
-    ratio = importance_ratio(SPAN_ORIGINAL, SPAN_COUNTERFACTUAL, RiskConfig())
+    ratio = importance_ratio(SPAN_ORIGINAL, SPAN_COUNTERFACTUAL)
     np.testing.assert_allclose(ratio, [(0.6 * 0.8) / (0.4 * 0.5),
                                        (0.6 * 0.5) / (0.7 * 0.6)], rtol=1e-12)
 
