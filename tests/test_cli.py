@@ -245,6 +245,22 @@ def test_non_object_json_file_is_config_error(dataset_dir, tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("run_config, message", [
+    ({"_overrides": {"train.max_steps": 3}}, "unknown key '_overrides'"),
+    ({"base": {}, "grid": {"train.max_steps": [3]}}, "unknown key 'base'"),
+    ({"seeds": True}, "'seeds' has the wrong type: True"),
+    ({"model": "small"}, "'model' has the wrong type: 'small'"),
+])
+def test_run_config_keys_and_types_are_checked(dataset_dir, tmp_path, capsys,
+                                               run_config, message):
+    (tmp_path / "run.json").write_text(json.dumps(run_config))
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(dataset_dir), "--preset", "erm", "--out", str(out),
+                 "--config", str(tmp_path / "run.json")]) == EXIT_CONFIG
+    assert f"run config: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_corrupt_dataset_is_data_error(tmp_path):
     data = tmp_path / "data"
     data.mkdir()
@@ -378,6 +394,24 @@ def test_compare_one_preset_as_two_arms_differs_by_exactly_zero(dataset_dir, tmp
             (out / "b" / f"seed_{seed}" / "metrics.csv").read_bytes()
 
 
+def test_compare_one_arm_reduces_to_train(dataset_dir, tmp_path):
+    beta = ["--set", 'train.beta={"alpha": 0.3, "beta": 0.3}']
+    assert main(["train", "--data", str(dataset_dir), "--preset", "cat", "--seeds", "1",
+                 "--out", str(tmp_path / "run"), *FAST_OVERRIDES, *beta]) == EXIT_OK
+    assert compare(dataset_dir, tmp_path / "cmp", "--arm", "a=cat", "--seeds", "1",
+                   *beta) == EXIT_OK
+    assert (tmp_path / "cmp" / "a" / "seed_0" / "metrics.csv").read_bytes() == \
+        (tmp_path / "run" / "seed_0" / "metrics.csv").read_bytes()
+    arm = json.loads((tmp_path / "cmp" / "compare.json").read_text())["arms"]["a"]
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert arm["per_seed"] == summary["per_seed"]
+    assert arm["model_config"] == summary["model_config"]
+    assert arm["train_config"] == summary["train_config"]
+    for split in ("iid", "ood"):
+        assert arm["vs_reference"][split]["accuracy"] == \
+            {"mean": 0.0, "se": 0.0, "wins": 0, "ties": 1}
+
+
 @pytest.mark.parametrize("args, message", [
     (["--arm", "a"], "--arm needs NAME=PRESET"),
     (["--arm", "a=cat", "--arm", "a/b=cat"], "--arm needs NAME=PRESET"),
@@ -391,6 +425,12 @@ def test_compare_one_preset_as_two_arms_differs_by_exactly_zero(dataset_dir, tmp
     (["--arm", "a=cat", "--arm", "b=cat", "--set", "b.train.candidate_layers=[9]"],
      "arm b: candidate layer 9"),
     (["--arm", "a=cat", "--arm", "b=cat", "--set", "b.train.seed=3"], "seeds from --seeds"),
+    (["--arm", "a=cat", "--arm", "b=cat", "--set", "b.train.batch_size=-1"],
+     "b.train: batch size must be >= 1"),
+    (["--arm", "a=cat", "--arm", "b=cat", "--set", "b.train.max_steps=[3, 4]"],
+     "b.train.max_steps: expected integer or null, got [3, 4]"),
+    (["--arm", "a=cat", "--arm", "b=cat", "--set", "b.model.d_model=7"],
+     "b.model: d_model 7 not divisible by n_heads 2"),
 ])
 def test_compare_rejects_malformed_input_before_any_run(dataset_dir, tmp_path, capsys,
                                                         args, message):
@@ -446,6 +486,14 @@ def test_readme_specs_generate_the_criteria_data(tmp_path, task):
                              strict=True):
         for name in ("tokens", "labels", "spans", "segments"):
             np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
+
+
+def test_sweep_is_not_a_command(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--grid", str(tmp_path / "g.json"), "--out", str(tmp_path / "x")])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "invalid choice: 'sweep'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_docs_name_exactly_the_cli_subcommands():
