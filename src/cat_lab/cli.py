@@ -182,7 +182,7 @@ def preset_train_config(preset: str, task_kind: str) -> TrainConfig:
         base = TrainConfig(
             algorithm=preset,
             warmup_steps=668, max_steps=1336, batch_size=12,
-            base_lr=2e-3, crm_lr=2e-3,
+            base_lr=2e-3,
             beta=BetaParams(5.0, 5.0),
             adversarial=AdversarialConfig(steps=1, step_size=5e-2),
             risk=RiskConfig(lower=0.7, upper=10.0),
@@ -240,6 +240,13 @@ def _load_json(path: Path, what: str) -> dict:
     return value
 
 
+def _merge(old, new):
+    """``new`` over ``old``: objects merge key by key, anything else replaces."""
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return new
+    return {**old, **{k: _merge(old.get(k), v) for k, v in new.items()}}
+
+
 def _apply_dotted(config_dict: dict, dotted: str, raw_value: str) -> None:
     try:
         value = json.loads(raw_value)
@@ -251,7 +258,7 @@ def _apply_dotted(config_dict: dict, dotted: str, raw_value: str) -> None:
         node = node.setdefault(part, {})
         if not isinstance(node, dict):
             raise ConfigError(f"--set {dotted}: {part} is not an object")
-    node[leaf] = value
+    node[leaf] = _merge(node.get(leaf), value)
 
 
 def _input_file(path: str, what: str) -> Path:
@@ -455,6 +462,11 @@ def _train_seed(job: tuple) -> dict:
     return final_eval
 
 
+def _shared_train_config(train_config: TrainConfig) -> dict:
+    """``train_config`` without the seed, which each ``seed_N/summary.json`` records."""
+    return {k: v for k, v in asdict(train_config).items() if k != "seed"}
+
+
 def _seed_jobs(model_config: ModelConfig, train_config: TrainConfig, seeds: list[int],
                task: str, train_set: Dataset, eval_sets: dict, out: Path) -> list:
     """One ``_train_seed`` job per seed, each writing into ``out/seed_N``."""
@@ -506,7 +518,7 @@ def run_training(config: dict) -> dict:
         "task": task_kind,
         "data": str(data_dir),
         "model_config": asdict(model_config),
-        "train_config": asdict(base_train),
+        "train_config": _shared_train_config(base_train),
         "seeds": seeds,
         "per_seed": {str(s): r for s, r in per_seed.items()},
         "aggregate": aggregate,
@@ -579,7 +591,8 @@ def compare_arms(arms: dict, seeds: list[int] | range, task: str, train_set: Dat
     reports = iter(run_seeds(_train_seed, jobs))
     per_seed = {name: {seed: next(reports) for seed in seeds} for name in arms}
     ref = _metric_arrays(next(iter(per_seed.values())))
-    return {name: {"model_config": asdict(arms[name][0]), "train_config": asdict(arms[name][1]),
+    return {name: {"model_config": asdict(arms[name][0]),
+                   "train_config": _shared_train_config(arms[name][1]),
                    "per_seed": runs, "aggregate": _aggregate(runs),
                    "vs_reference": {split: {metric: _paired(values - ref[split][metric])
                                             for metric, values in metrics.items()}

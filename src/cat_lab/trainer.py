@@ -113,13 +113,8 @@ class TrainConfig:
     epochs: float = 3.0
     warmup_epochs: float = 1.0
     batch_size: int = 8
-    base_lr: float = 1e-3
-    crm_lr: float = 1e-3
-    lr_warmup_steps: int = 100        # linear ramp of both rates, stabilizes Adam
-    grad_clip: float | None = 1.0     # global-norm clip; None disables
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
+    base_lr: float = 1e-3             # the rate of every update, CRM and ERM alike
+    lr_warmup_steps: int = 100        # linear ramp of the rate, stabilizes Adam
     candidate_layers: tuple[int, ...] = (2, 3)
     beta: BetaParams = field(default_factory=BetaParams)
     adversarial: AdversarialConfig = field(default_factory=AdversarialConfig)
@@ -128,7 +123,6 @@ class TrainConfig:
     span_mix_strategy: str = NON_ANSWER_CONTEXT
     seed: int = 0
     eval_interval: int = 0            # 0 = evaluate only at the end
-    eval_batch_size: int = 256
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -137,8 +131,6 @@ class TrainConfig:
             raise ValueError(f"unknown update mode {self.update_mode!r}")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.eval_batch_size < 1:
-            raise ValueError("eval batch size must be >= 1")
         if self.lr_warmup_steps < 0:
             raise ValueError("lr_warmup_steps must be >= 0")
         if not self.candidate_layers:
@@ -159,6 +151,10 @@ def resolve_schedule(config: TrainConfig, n_train: int) -> tuple[int, int]:
     return warmup, total
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+GRAD_CLIP = 1.0  # the trainer's global-norm clip
+
+
 class Adam:
     """Adaptive-moment optimizer with global-norm clipping over a parameter buffer.
 
@@ -172,10 +168,8 @@ class Adam:
     or moment changes.
     """
 
-    def __init__(self, params: ParameterBuffer, beta1=0.9, beta2=0.999, eps=1e-8,
-                 grad_clip: float | None = None):
+    def __init__(self, params: ParameterBuffer, grad_clip: float | None = None):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.grad_clip = grad_clip
         self.t = 0
         self._m = np.zeros_like(params.flat)
@@ -199,13 +193,13 @@ class Adam:
         if self.grad_clip is not None and norm > self.grad_clip:
             flat *= self.grad_clip / norm
         m, v = self._m, self._v
-        m *= self.beta1
-        m += (1 - self.beta1) * flat
-        v *= self.beta2
-        v += (1 - self.beta2) * flat * flat
-        correct1 = 1.0 - self.beta1**self.t
-        correct2 = 1.0 - self.beta2**self.t
-        self.params.flat -= lr * ((m / correct1) / (np.sqrt(v / correct2) + self.eps))
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * flat
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * flat * flat
+        correct1 = 1.0 - ADAM_BETA1**self.t
+        correct2 = 1.0 - ADAM_BETA2**self.t
+        self.params.flat -= lr * ((m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS))
 
 
 class Trainer:
@@ -227,8 +221,7 @@ class Trainer:
         self.config = config
         self.task = task
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
-        self.adam = Adam(model.buffer, config.adam_beta1, config.adam_beta2,
-                         config.adam_eps, grad_clip=config.grad_clip)
+        self.adam = Adam(model.buffer, grad_clip=GRAD_CLIP)
         # the no-inner-steps ablation reuses the full pipeline with zero ascent
         self.adv_config = (replace(config.adversarial, steps=0)
                            if config.algorithm == CAT_STAR else config.adversarial)
@@ -285,16 +278,16 @@ class Trainer:
 
     # -- steps ----------------------------------------------------------------
 
-    def _lr(self, rate: float) -> float:
+    def _lr(self) -> float:
         ramp = max(1, self.config.lr_warmup_steps)
-        return rate * min(1.0, (self.step_count + 1) / ramp)
+        return self.config.base_lr * min(1.0, (self.step_count + 1) / ramp)
 
     def _check_finite(self, name: str, value: float) -> float:
         if not np.isfinite(value):
             raise DivergenceError(f"{name} became non-finite at step {self.step_count}")
         return value
 
-    def _erm_update(self, tokens: np.ndarray, labels, rate: float) -> float:
+    def _erm_update(self, tokens: np.ndarray, labels) -> float:
         """Forward, empirical loss, backward and one Adam update; the loss."""
         with Tape():
             h0, mask = self.model.embed(tokens)
@@ -302,23 +295,15 @@ class Trainer:
             loss = erm_loss(self._head(h, mask), labels)
             grads = backward(loss)
         value = self._check_finite("erm loss", loss.item())
-        self.adam.step(grads, self._lr(rate))
+        self.adam.step(grads, self._lr())
         return value
 
-    def erm_step(self, dataset: Dataset, idx: np.ndarray, phase: str,
-                 lr: float | None = None) -> dict:
-        value = self._erm_update(dataset.tokens[idx], self._labels(dataset, idx),
-                                 self.config.base_lr if lr is None else lr)
+    def erm_step(self, dataset: Dataset, idx: np.ndarray, phase: str) -> dict:
+        value = self._erm_update(dataset.tokens[idx], self._labels(dataset, idx))
         self.step_count += 1
-        return {
-            "step": self.step_count,
-            "phase": phase,
-            "erm_loss": value,
-            "crm_loss": None,
-            "mean_abs_lambda": None,
-            "mean_weight": None,
-            "cal_param_delta": None,
-        }
+        # a plain step has no counterfactual side: its columns stay empty
+        return {**dict.fromkeys(METRIC_COLUMNS),
+                "step": self.step_count, "phase": phase, "erm_loss": value}
 
     def cat_step(self, dataset: Dataset, idx: np.ndarray) -> dict:
         cfg = self.config
@@ -359,11 +344,10 @@ class Trainer:
         crm_value = self._check_finite("crm loss", crm.item())
         if cfg.update_mode == COMBINED:
             erm_value = self._check_finite("erm loss", erm_same.item())
-            self.adam.step(grads, self._lr(cfg.base_lr))
-        else:
-            self.adam.step(grads, self._lr(cfg.crm_lr))
+        self.adam.step(grads, self._lr())
+        if cfg.update_mode != COMBINED:
             # fresh forward: the empirical step sees the post-update parameters
-            erm_value = self._erm_update(tokens, labels, cfg.base_lr)
+            erm_value = self._erm_update(tokens, labels)
 
         self.step_count += 1
         return {
@@ -407,10 +391,8 @@ class Trainer:
         return self.history
 
     def evaluate_splits(self, eval_sets: dict[str, Dataset]) -> dict[str, dict]:
-        """One ``evaluate`` report per named split, at the eval batch size."""
-        return {name: evaluate(self.model, ds, self.task,
-                               batch_size=self.config.eval_batch_size)
-                for name, ds in eval_sets.items()}
+        """One ``evaluate`` report per named split."""
+        return {name: evaluate(self.model, ds, self.task) for name, ds in eval_sets.items()}
 
 
 def seeded_trainer(model_config: ModelConfig, config: TrainConfig,

@@ -322,6 +322,12 @@ def test_train_rejects_unknown_config_field(dataset_dir, tmp_path):
     ("train.cross_batch_partners=true", "cross_batch_partners"),
     ("train.mask_strategy=use_i", "mask_strategy"),
     ("train.risk.estimator=max_prob", "estimator"),
+    ("train.crm_lr=1e-3", "crm_lr"),
+    ("train.grad_clip=1.0", "grad_clip"),
+    ("train.adam_beta1=0.9", "adam_beta1"),
+    ("train.adam_beta2=0.999", "adam_beta2"),
+    ("train.adam_eps=1e-8", "adam_eps"),
+    ("train.eval_batch_size=256", "eval_batch_size"),
 ])
 @pytest.mark.parametrize("seeds", ["1", "2"])  # one seed in process, two in a pool
 def test_train_rejects_bad_field_before_training(dataset_dir, tmp_path, capsys,
@@ -332,6 +338,80 @@ def test_train_rejects_bad_field_before_training(dataset_dir, tmp_path, capsys,
     assert code == EXIT_CONFIG
     assert field in capsys.readouterr().err
     assert not (out / "seed_0").exists() and not (out / "seed_1").exists()
+
+
+REMOVED_TRAIN_FIELDS = {"crm_lr": 1e-3, "grad_clip": 1.0, "adam_beta1": 0.9,
+                        "adam_beta2": 0.999, "adam_eps": 1e-8, "eval_batch_size": 256}
+
+
+@pytest.mark.parametrize("field", REMOVED_TRAIN_FIELDS)
+def test_removed_train_field_exits_2_through_compare_and_config_file(dataset_dir, tmp_path,
+                                                                    capsys, field):
+    value = REMOVED_TRAIN_FIELDS[field]
+    out = tmp_path / "cmp"
+    assert compare(dataset_dir, out, "--arm", "a=cat", "--seeds", "1",
+                   "--set", f"a.train.{field}={value}") == EXIT_CONFIG
+    assert f"a.train: unknown field {field!r}" in capsys.readouterr().err
+    assert not out.exists()
+    (tmp_path / "run.json").write_text(json.dumps({"train": {field: value}}))
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(dataset_dir), "--preset", "cat", "--out", str(out),
+                 "--config", str(tmp_path / "run.json")]) == EXIT_CONFIG
+    assert f"train: unknown field {field!r}" in capsys.readouterr().err
+    assert not (out / "seed_0").exists()
+
+
+# an object merges into earlier overrides, and later leaves win in either order
+SET_ORDERS = [
+    ["train.batch_size=4", "train.beta.alpha=0.5",
+     'train={"max_steps": 2, "warmup_steps": 0, "beta": {"beta": 0.4}}'],
+    ['train={"max_steps": 2, "warmup_steps": 0, "batch_size": 6, "beta": {"beta": 0.4}}',
+     "train.batch_size=4", "train.beta.alpha=0.5"],
+]
+
+
+def _merged(train_config):
+    return (train_config["batch_size"], train_config["max_steps"],
+            train_config["warmup_steps"], train_config["beta"])
+
+
+@pytest.mark.parametrize("order", SET_ORDERS)
+def test_set_object_merges_into_earlier_overrides_in_train(dataset_dir, tmp_path, order):
+    out = tmp_path / "run"
+    sets = [arg for a in order for arg in ("--set", a)]
+    assert main(["train", "--data", str(dataset_dir), "--preset", "erm", "--seeds", "1",
+                 "--out", str(out), *FAST_OVERRIDES, *sets]) == EXIT_OK
+    for path in (out / "summary.json", out / "seed_0" / "summary.json"):
+        summary = json.loads(path.read_text())
+        assert _merged(summary["train_config"]) == (4, 2, 0, {"alpha": 0.5, "beta": 0.4})
+        assert summary["model_config"]["d_model"] == 8  # FAST_OVERRIDES' model object
+
+
+@pytest.mark.parametrize("order", SET_ORDERS)
+def test_set_object_merges_into_earlier_overrides_in_compare(dataset_dir, tmp_path, order):
+    out = tmp_path / "cmp"
+    sets = [arg for a in order for arg in ("--set", "b." + a)]
+    assert compare(dataset_dir, out, "--arm", "a=erm", "--arm", "b=erm", "--seeds", "1",
+                   "--set", "train.max_steps=3", *sets) == EXIT_OK
+    arms = json.loads((out / "compare.json").read_text())["arms"]
+    assert _merged(arms["b"]["train_config"]) == (4, 2, 0, {"alpha": 0.5, "beta": 0.4})
+    assert _merged(arms["a"]["train_config"])[:3] == (8, 3, 2)
+
+
+def test_aggregate_records_name_only_the_seeds_run(dataset_dir, tmp_path):
+    run, cmp = tmp_path / "run", tmp_path / "cmp"
+    assert main(["train", "--data", str(dataset_dir), "--preset", "erm", "--seeds", "3,4",
+                 "--out", str(run), *FAST_OVERRIDES]) == EXIT_OK
+    assert compare(dataset_dir, cmp, "--arm", "a=erm", "--seeds", "3,4") == EXIT_OK
+    summary = json.loads((run / "summary.json").read_text())
+    result = json.loads((cmp / "compare.json").read_text())
+    assert summary["seeds"] == result["seeds"] == [3, 4]
+    assert "seed" not in summary["train_config"]
+    assert "seed" not in result["arms"]["a"]["train_config"]
+    for out in (run, cmp / "a"):
+        for seed in (3, 4):
+            seed_summary = json.loads((out / f"seed_{seed}" / "summary.json").read_text())
+            assert seed_summary["seed"] == seed_summary["train_config"]["seed"] == seed
 
 
 def test_train_evaluates_each_split_once(dataset_dir, tmp_path, monkeypatch):
@@ -726,7 +806,6 @@ def test_malformed_spec_is_config_error(tmp_path, capsys, spec, field):
     ("model.n_heads=0", "n_heads"),
     ('train.lr_warmup_steps="x"', "train.lr_warmup_steps"),
     ("train.lr_warmup_steps=-1", "lr_warmup_steps"),
-    ("train.eval_batch_size=0", "eval batch size"),
     ("seeds=[{}]", "seeds"),
     ("bogus=1", "bogus"),
 ])
@@ -759,8 +838,8 @@ SET_KEYS = [
     "train.risk", "train.risk.lower", "train.risk.upper",
     "train.adversarial", "train.adversarial.steps", "train.adversarial.step_size",
     "train.adversarial.gamma", "train.beta", "train.beta.alpha", "train.candidate_layers",
-    "train.batch_size", "train.eval_batch_size", "train.lr_warmup_steps", "train.max_steps",
-    "train.warmup_steps", "train.eval_interval", "train.grad_clip", "train.seed", "train.bogus",
+    "train.batch_size", "train.lr_warmup_steps", "train.max_steps",
+    "train.warmup_steps", "train.eval_interval", "train.seed", "train.bogus",
     "model.n_heads", "model.n_layers", "model.d_model", "model.d_ff", "model.vocab_size",
     "model.max_seq_len", "model.n_classes", "model.use_span_head", "model.pad_id",
 ]

@@ -117,15 +117,14 @@ def test_cat_step_equals_double_erm_step_under_degeneration(class_data):
     cfg = small_config(
         adversarial=AdversarialConfig(steps=0),
         risk=RiskConfig(lower=1.0, upper=1.0),
-        crm_lr=3e-4, base_lr=1e-3,
     )
     a = make_trainer(cfg)
     b = make_trainer(cfg)
     idx = np.arange(8)
     a.cat_step(train_set, idx)
-    b.erm_step(train_set, idx, phase="erm", lr=cfg.crm_lr)
-    b.step_count -= 1  # one logical batch, two optimizer applications
-    b.erm_step(train_set, idx, phase="erm", lr=cfg.base_lr)
+    b.erm_step(train_set, idx, phase="erm")
+    b.step_count -= 1  # one logical batch, two optimizer applications at base_lr
+    b.erm_step(train_set, idx, phase="erm")
     for name, p in a.model.parameters().items():
         np.testing.assert_array_equal(p.data, b.model.parameters()[name].data, err_msg=name)
 
@@ -230,7 +229,7 @@ def test_span_task_requires_span_head(class_data):
 def test_adam_single_step_matches_hand_computation():
     params = ParameterBuffer({"p": np.array([1.0, -2.0])})
     p = params.tensors["p"]
-    adam = Adam(params, beta1=0.9, beta2=0.999, eps=1e-8, grad_clip=None)
+    adam = Adam(params, grad_clip=None)
 
     class FakeGrads:
         def get(self, key):
