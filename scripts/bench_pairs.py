@@ -9,9 +9,15 @@ parent's ``BENCHMARK.json``, and appends every result line to a jsonl file.
 ``write`` reads that file and writes, per workload and end-to-end metric,
 both sides' medians and quartiles (``statistics.quantiles(values, n=4)``),
 the number of pairs in which the change read better, worse or the same, and
-each side's failed and attempted checks.  ``--note key=value`` adds a
-top-level field (the value is read as JSON when it parses, else kept as
-text), for the host note and the Tier-1 wall times.
+each side's failed and attempted checks.  Three flags state each metric's
+verdict by the pairing rules: ``gain`` (the change read better in at least
+9 of 10 pairs, and the medians differ in the better direction by more than
+the parent's quartile distance), ``worse_than_bound`` (the change's median
+is worse than the parent's by more than the metric's ``bound``) and
+``unresolved`` (the parent's quartile distance exceeds ``bound`` times its
+median, unless every change run beats every parent run).  ``--note
+key=value`` adds a top-level field (the value is read as JSON when it
+parses, else kept as text), for the host note and the Tier-1 wall times.
 
     python3 scripts/bench_pairs.py run --parent ../parent --change . \\
         --workloads span-train --seeds 701-710 --out pairs.jsonl
@@ -102,14 +108,24 @@ def write(args) -> int:
             sign = -1.0 if m["better"] == "lower" else 1.0
             gains = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
             parent, change = summary(values["parent"]), summary(values["change"])
+            parent_iqr = parent["q3"] - parent["q1"]
+            pairs_better = sum(g > 0 for g in gains)
+            # signed so that positive is better, whichever way the metric points
+            median_gain = sign * (change["median"] - parent["median"])
+            separated = (min(sign * v for v in values["change"])
+                         > max(sign * v for v in values["parent"]))
             entry["metrics"][m["name"]] = {
                 "unit": m["unit"], "better": m["better"], "bound": m["bound"],
                 "parent": parent, "change": change,
                 "change_over_parent": change["median"] / parent["median"] - 1.0,
-                "parent_iqr": parent["q3"] - parent["q1"],
-                "pairs_better": sum(g > 0 for g in gains),
+                "parent_iqr": parent_iqr,
+                "pairs_better": pairs_better,
                 "pairs_worse": sum(g < 0 for g in gains),
                 "pairs_tied": sum(g == 0 for g in gains),
+                "gain": 10 * pairs_better >= 9 * len(gains) and median_gain > parent_iqr,
+                "worse_than_bound": -median_gain > m["bound"] * abs(parent["median"]),
+                "unresolved": (parent_iqr > m["bound"] * abs(parent["median"])
+                               and not separated),
             }
         workloads[workload] = entry
     out["workloads"] = workloads

@@ -38,6 +38,7 @@ from cat_lab.datagen import (
     generate_classification,
     generate_span_task,
     load_jsonl,
+    record_task,
     save_jsonl,
 )
 from cat_lab.encoder import CLS_POSITION, EncoderModel, ModelConfig
@@ -474,8 +475,24 @@ def _seed_jobs(model_config: ModelConfig, train_config: TrainConfig, seeds: list
              out / f"seed_{seed}") for seed in seeds]
 
 
+def _first_record_task(train_path: Path) -> str | None:
+    """The task of a train split's first record; None when it does not read as one.
+
+    Loading the split then names the fault.
+    """
+    try:
+        with open(train_path, encoding="utf-8") as fh:
+            record = json.loads(next((line for line in fh if line.strip()), ""))
+    except (OSError, ValueError, RecursionError):
+        return None
+    return record_task(record) if isinstance(record, dict) else None
+
+
 def _data_task(config: dict, command: str) -> tuple[Path, str, str]:
-    """Dataset directory, task kind (the config's, else the manifest's), trainer task."""
+    """Dataset directory, task kind and trainer task.
+
+    The kind is the config's, else the manifest's, else the train records'.
+    """
     data = config.get("data")
     if data is None:
         raise ConfigError(f"{command}: missing 'data' (dataset directory)")
@@ -485,6 +502,8 @@ def _data_task(config: dict, command: str) -> tuple[Path, str, str]:
     kind = config.get("task")
     if kind is None and (data_dir / "manifest.json").exists():
         kind = _load_json(data_dir / "manifest.json", "manifest").get("task")
+    elif kind is None:
+        kind = _first_record_task(data_dir / "train.jsonl")
     kind = CLASSIFICATION if kind is None else kind
     if kind not in TASK_KINDS:
         raise ConfigError(f"unknown task kind {kind!r}")
@@ -581,7 +600,7 @@ def compare_arms(arms: dict, seeds: list[int] | range, task: str, train_set: Dat
             _, steps = resolve_schedule(train_config, len(train_set))
         except ValueError as exc:
             raise ConfigError(f"arm {name}: {exc}") from exc
-        if steps > math.ceil(len(train_set) / train_config.batch_size):
+        if len(arms) > 1 and steps > math.ceil(len(train_set) / train_config.batch_size):
             print(f"warning: arm {name} trains past one epoch; later epochs draw their batch "
                   f"order from the trainer's shared generator, so they are not paired "
                   f"across arms", file=sys.stderr)

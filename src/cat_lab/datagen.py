@@ -251,20 +251,24 @@ def _span_split(spec: SCMSpec, n: int, rng: np.random.Generator,
     starts = trigger_pos + 1
     ends = trigger_pos + answer_len
 
+    # One draw per quantity for the whole split. A Generator's integers()
+    # gives the same numbers in one call as in one call per sample (the bit
+    # generator keeps the unused half of each 64-bit output between calls),
+    # so the data equals a per-sample loop's as long as the draw order does.
     rows = np.arange(n)
     tokens[rows, trigger_pos] = triggers[rng.integers(0, triggers.size, size=n)]
     if spec.typed_answers:
         answers = spec.answer_tokens()
-        for i in range(n):
-            span = slice(starts[i], ends[i] + 1)
-            tokens[i, span] = answers[rng.integers(0, answers.size, size=answer_len[i])]
+        # (sample, offset) of every answer token, in sample order
+        span_rows, offsets = np.nonzero(np.arange(spec.max_answer_len) < answer_len[:, None])
+        picks = rng.integers(0, answers.size, size=span_rows.size)
+        tokens[span_rows, starts[span_rows] + offsets] = answers[picks]
 
+    # the uniform slot is any context position outside trigger..answer end
     aligned_slot = ends + 1
-    uniform_slot = np.empty(n, dtype=int)
-    for i in range(n):
-        allowed = np.setdiff1d(np.arange(qlen, seq),
-                               np.arange(trigger_pos[i], ends[i] + 1))
-        uniform_slot[i] = allowed[rng.integers(0, allowed.size)]
+    width = ends - trigger_pos + 1
+    uniform_slot = qlen + rng.integers(0, seq - qlen - width)
+    uniform_slot += np.where(uniform_slot >= trigger_pos, width, 0)
     if distractor_aligned:
         use_aligned = rng.random(n) < spec.confound_strength
         distractor_pos = np.where(use_aligned, aligned_slot, uniform_slot)
@@ -316,6 +320,11 @@ def save_jsonl(dataset: Dataset, path) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
+def record_task(record: dict) -> str:
+    """The task a dataset record belongs to: span records carry a ``span``."""
+    return SPAN if "span" in record else CLASSIFICATION
+
+
 def _is_index(value) -> bool:
     """A JSON integer that fits an int64 index: not a bool, not negative."""
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**63
@@ -354,7 +363,7 @@ def load_jsonl(path) -> Dataset:
             raise DatasetFormatError(f"{path}:{lineno}: ragged sequence length")
         if not all(_is_index(t) for t in row):
             raise DatasetFormatError(f"{path}:{lineno}: bad token id")
-        line_task = SPAN if "span" in record else CLASSIFICATION
+        line_task = record_task(record)
         if task is None:
             task = line_task
         elif task != line_task:

@@ -227,6 +227,20 @@ def test_train_missing_data_is_config_error(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_data_without_manifest_takes_its_task_from_the_records(tmp_path, command):
+    spec = write_spec(tmp_path / "spec.json", task="span",
+                      scm={"seq_len": 16, "query_len": 4}, n_train=16, n_test=8)
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert main(["generate", "--spec", str(spec), "--out", str(data)]) == EXIT_OK
+    (data / "manifest.json").unlink()
+    args = ["--arm", "a=erm"] if command == "compare" else ["--preset", "erm"]
+    assert main([command, "--data", str(data), "--out", str(out), "--seeds", "1",
+                 *FAST_OVERRIDES, *args]) == EXIT_OK
+    record = out / {"train": "summary.json", "compare": "compare.json"}[command]
+    assert json.loads(record.read_text())["task"] == "span"
+
+
 @pytest.mark.parametrize("value", [[], "span", [1], "x"])
 @pytest.mark.parametrize("command, what", [
     ("train", "manifest"), ("compare", "manifest"), ("train", "run config")])
@@ -525,6 +539,11 @@ def test_compare_rejects_malformed_input_before_any_run(dataset_dir, tmp_path, c
     (8, 6, False), (8, 7, True), (10, 5, False), (10, 6, True)])
 def test_compare_warns_when_an_arm_trains_past_one_epoch(dataset_dir, tmp_path, capsys,
                                                          batch_size, max_steps, warns):
+    # one arm has nothing to pair with, so it never warns
+    assert compare(dataset_dir, tmp_path / "one", "--arm", "b=erm",
+                   "--set", f"train.batch_size={batch_size}",
+                   "--set", f"train.max_steps={max_steps}", "--seeds", "1") == EXIT_OK
+    assert "warning" not in capsys.readouterr().err
     assert compare(dataset_dir, tmp_path / "cmp", "--arm", "a=erm", "--arm", "b=erm",
                    "--set", f"train.batch_size={batch_size}",
                    "--set", f"b.train.max_steps={max_steps}", "--seeds", "1") == EXIT_OK

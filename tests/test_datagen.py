@@ -1,5 +1,7 @@
 """Generator invariants checked with simple independent oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -290,3 +292,58 @@ def test_subset_preserves_structure():
     assert len(sub) == 2
     np.testing.assert_array_equal(sub.tokens, train.tokens[[3, 1]])
     np.testing.assert_array_equal(sub.spans, train.spans[[3, 1]])
+
+
+# Pinned output of the generators. Every criterion and benchmark reads this
+# data, so any change to it (a new draw order, or a numpy upgrade that
+# changes a distribution's algorithm) moves every number they report.
+PINNED_SPLITS = {
+    "criterion-6-classification": (
+        lambda: generate_classification(SCMSpec(confound_strength=0.95, seed=1234), 5000, 2000),
+        ["390fcd6d58af176ecc4096656791c13045d1f4089cb534eea567d64157a260aa",
+         "ae9451a9bc3414a8cb3c36f255ecdcc6f3370f35c99eea474876a6ea536bf453",
+         "d4244ca9cdc686edf59a9a467d48c8ce69066e9e7ed30de401f1fe2c6f8c7497"]),
+    "criterion-7-case-study": (
+        lambda: generate_case_study(n_train=100, n_test=100, seed=5),
+        ["cd2d3af5fa5f61618233c108929815d247db5a9d1c9fd3eb555765a9ada476dc",
+         "95f21dacda7f3a8dc05e668c6ce431c14338e9ca35f4656cb41c0329fe91c818"]),
+    "criterion-8-span": (
+        lambda: generate_span_task(
+            SCMSpec(seq_len=24, query_len=6, confound_strength=0.95, seed=7), 2000, 400),
+        ["841a3f48d21478cd708f0d22c35ce6c107d9597a43f98e4e848bd6df5479c016",
+         "bb4dd426f77c84acaeabf2eb2b064ffbc16d7ef5f6d01aaa1503e7afcf1e44fa",
+         "3a687e63e0a2b4e05db61bf374d753633b1a68c3a609ec6efd96e0fe20b7dcbb"]),
+    "perfbench-span": (
+        lambda: generate_span_task(
+            SCMSpec(seq_len=24, query_len=6, trigger_token_count=6, seed=2024), 512, 4096),
+        ["c9dc8f53a129dd1126ab88d57372b7bd3794649363f922ca954be09b03315e22",
+         "d35e1c08946289bc15f97675157643f31ff4658683ff132295644f30ee1c188e",
+         "b903dd031193aa2ef6c8c9db1522f4cb5e01e390fb0bf198dbeca552350c99bb"]),
+    "typed-span": (
+        lambda: generate_span_task(
+            SCMSpec(seq_len=24, query_len=6, typed_answers=True, seed=31), 512, 512),
+        ["1aa41bdf1cb214479646d2194569cbea8e25fd46a3d81f44877be484118eb5e9",
+         "83d12b970bba5abb4d2e876462892d9aab4b753df51f938c695decb25e8808dd",
+         "9361d50075b1c8f5ff7c9017bce299031fbf63f3934be37d36e1f144f3975614"]),
+}
+
+
+def split_digest(dataset):
+    """SHA-256 of a split's tokens, labels, spans and segments as little-endian int64."""
+    h = hashlib.sha256()
+    for name in ("tokens", "labels", "spans", "segments"):
+        array = getattr(dataset, name)
+        h.update(name.encode())
+        if array is not None:
+            h.update(str(array.shape).encode())
+            h.update(np.ascontiguousarray(array, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SPLITS))
+def test_generated_data_matches_pinned_digests(name):
+    make, expected = PINNED_SPLITS[name]
+    got = [split_digest(split) for split in make()]
+    assert got == expected, (
+        f"generated data changed for {name}: every criterion and benchmark that "
+        f"reads it moves with it (a numpy upgrade can cause this too)")
