@@ -3,7 +3,7 @@
 Subcommands
 -----------
 generate    write train/test jsonl splits plus a manifest from a spec file
-train       run one preset/config per seed, writing metrics + checkpoints
+train       run one preset per seed
 compare     train named arms over shared seeds; paired differences to the first arm
 eval        score a saved checkpoint on a dataset file
 dump-reprs  export pooled original/counterfactual vectors as CSV
@@ -47,6 +47,7 @@ from cat_lab.risk import RiskConfig
 from cat_lab.trainer import (
     DivergenceError,
     TrainConfig,
+    check_answer_lengths,
     evaluate,
     resolve_schedule,
     seeded_trainer,
@@ -215,9 +216,15 @@ def preset_model_config(task_kind: str) -> ModelConfig:
 
 def resolve_arm(config: dict, task_kind: str,
                 where: str = "") -> tuple[ModelConfig, TrainConfig]:
-    """A run config's (model, train) configs: its preset's, with its overrides applied."""
+    """A run config's (model, train) configs: its preset's, with its overrides applied.
+
+    Seeds come only from ``--seeds``, so no override may set ``train.seed``.
+    """
+    train = config.get("train", {})
+    if isinstance(train, dict) and "seed" in train:
+        raise ConfigError(f"{where}train.seed: runs take their seeds from --seeds")
     train_config = _build_dataclass(preset_train_config(config.get("preset", "cat"), task_kind),
-                                    config.get("train", {}), where + "train")
+                                    train, where + "train")
     model_config = _build_dataclass(preset_model_config(task_kind),
                                     config.get("model", {}), where + "model")
     return model_config, train_config
@@ -270,54 +277,39 @@ def _input_file(path: str, what: str) -> Path:
     return p
 
 
-def _parse_seeds(value, base_seed: int) -> list[int]:
-    """Distinct seeds from a count or a list: two runs of one seed would share a directory."""
-    if isinstance(value, str):
-        try:
-            value = [int(p) for p in value.split(",") if p.strip()] if "," in value else int(value)
-        except ValueError:
-            raise ConfigError(f"seeds: expected a count or a comma-separated list of "
-                              f"integers, got {value!r}") from None
-    if isinstance(value, int):
-        value = [base_seed + i for i in range(value)]
-    elif not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
-        raise ConfigError(f"seeds: expected a list of integers, got {value!r}")
-    if not value:
+def _parse_seeds(text: str) -> list[int]:
+    """Distinct seeds from a count N (seeds 0 to N-1) or a comma-separated list.
+
+    Two runs of one seed would share a directory.
+    """
+    try:
+        seeds = ([int(p) for p in text.split(",") if p.strip()] if "," in text
+                 else list(range(int(text))))
+    except ValueError:
+        raise ConfigError(f"seeds: expected a count or a comma-separated list of "
+                          f"integers, got {text!r}") from None
+    if not seeds:
         raise ConfigError("seeds: the seed list is empty")
-    for i, seed in enumerate(value):
-        if seed in value[:i]:
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
             raise ConfigError(f"seeds: seed {seed} is repeated")
-    return value
+    return seeds
 
 
-# top-level run config keys and the JSON types they take
-RUN_CONFIG_TYPES = {"task": str, "data": str, "preset": str, "out": str,
-                    "seeds": (int, str, list), "train": dict, "model": dict}
+def _parse_set(assignment: str, arms=()) -> tuple[str | None, str, str]:
+    """One ``--set [ARM.]train|model.KEY=VALUE`` as (arm, dotted key, raw value).
 
-
-def _check_run_config(config: dict) -> None:
-    for key, value in config.items():
-        if key not in RUN_CONFIG_TYPES:
-            raise ConfigError(f"run config: unknown key {key!r}")
-        if isinstance(value, bool) or not isinstance(value, RUN_CONFIG_TYPES[key]):
-            raise ConfigError(f"run config: {key!r} has the wrong type: {value!r}")
-
-
-def resolve_run_config(args) -> dict:
-    """Merge config file, preset, flags, and --set overrides into one dict."""
-    config = _load_json(Path(args.config), "run config") if args.config else {}
-    for flag in ("task", "data", "preset", "out"):
-        value = getattr(args, flag.replace("-", "_"), None)
-        if value is not None:
-            config[flag] = value
-    if args.seeds is not None:
-        config["seeds"] = args.seeds
-    for assignment in args.set or []:
-        if "=" not in assignment:
-            raise ConfigError(f"--set needs key=value, got {assignment!r}")
-        dotted, raw = assignment.split("=", 1)
-        _apply_dotted(config, dotted, raw)
-    return config
+    Only ``compare`` names ``arms``, so only it takes the prefix; the arm is
+    None when there is none, meaning every arm.
+    """
+    dotted, sep, raw = assignment.partition("=")
+    head, _, rest = dotted.partition(".")
+    arm, dotted = (head, rest) if head in arms else (None, dotted)
+    if not sep or dotted.split(".")[0] not in ("train", "model"):
+        usage = (f"[ARM.]train|model.KEY=VALUE with ARM one of {', '.join(arms)}" if arms
+                 else "train|model.KEY=VALUE")
+        raise ConfigError(f"--set needs {usage}, got {assignment!r}")
+    return arm, dotted, raw
 
 
 def _load_data_dir(data_dir: Path, task: str,
@@ -338,6 +330,8 @@ def _load_data_dir(data_dir: Path, task: str,
         if task == CLASSIFICATION and len(split) and split.labels.max() >= n_classes:
             raise ConfigError(f"{path}: label {split.labels.max()} is out of range "
                               f"[0, {n_classes}) for the model")
+        if task == SPAN and path != train_path:
+            check_answer_lengths(split, str(path))
     return loaded[0][2], {name: split for name, _, split in loaded[1:]}
 
 
@@ -488,21 +482,17 @@ def _first_record_task(train_path: Path) -> str | None:
     return record_task(record) if isinstance(record, dict) else None
 
 
-def _data_task(config: dict, command: str) -> tuple[Path, str, str]:
+def _data_task(data: str) -> tuple[Path, str, str]:
     """Dataset directory, task kind and trainer task.
 
-    The kind is the config's, else the manifest's, else the train records'.
+    The kind is the manifest's, else the train records'.
     """
-    data = config.get("data")
-    if data is None:
-        raise ConfigError(f"{command}: missing 'data' (dataset directory)")
     data_dir = Path(data)
     if not data_dir.is_dir():
-        raise ConfigError(f"{command}: dataset directory {data_dir} does not exist")
-    kind = config.get("task")
-    if kind is None and (data_dir / "manifest.json").exists():
+        raise ConfigError(f"dataset directory {data_dir} does not exist")
+    if (data_dir / "manifest.json").exists():
         kind = _load_json(data_dir / "manifest.json", "manifest").get("task")
-    elif kind is None:
+    else:
         kind = _first_record_task(data_dir / "train.jsonl")
     kind = CLASSIFICATION if kind is None else kind
     if kind not in TASK_KINDS:
@@ -510,16 +500,18 @@ def _data_task(config: dict, command: str) -> tuple[Path, str, str]:
     return data_dir, kind, SPAN if kind == SPAN else CLASSIFICATION
 
 
-def run_training(config: dict) -> dict:
-    """One multi-seed training run from a resolved config dict."""
-    _check_run_config(config)
-    data_dir, task_kind, task = _data_task(config, "train")
-    preset = config.get("preset", "cat")
+def run_training(args) -> dict:
+    """One preset trained over every seed of ``train``'s parsed arguments."""
+    data_dir, task_kind, task = _data_task(args.data)
+    config = {"preset": args.preset}
+    for assignment in args.set or []:
+        _, dotted, raw = _parse_set(assignment)
+        _apply_dotted(config, dotted, raw)
     model_config, base_train = resolve_arm(config, task_kind)
-    seeds = _parse_seeds(config.get("seeds", [base_train.seed]), base_train.seed)
+    seeds = _parse_seeds(args.seeds)
 
     train_set, eval_sets = _load_data_dir(data_dir, task, model_config.n_classes)
-    out = Path(config.get("out", "runs/latest"))
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     per_seed = dict(zip(seeds, run_seeds(_train_seed, _seed_jobs(
@@ -533,7 +525,7 @@ def run_training(config: dict) -> dict:
 
     aggregate = _aggregate(per_seed)
     summary = {
-        "preset": preset,
+        "preset": args.preset,
         "task": task_kind,
         "data": str(data_dir),
         "model_config": asdict(model_config),
@@ -570,8 +562,7 @@ def _paired(differences: np.ndarray) -> dict:
 
 
 def cmd_train(args) -> int:
-    config = resolve_run_config(args)
-    summary = run_training(config)
+    summary = run_training(args)
     for split, metrics in summary["aggregate"].items():
         line = "  ".join(
             f"{m}={v['mean']:.4f}±{v['sd']:.4f}" for m, v in metrics.items()
@@ -631,24 +622,17 @@ def _parse_arms(arm_specs: list[str], assignments: list[str]) -> dict:
             raise ConfigError(f"--arm {name} is repeated")
         arms[name] = {"preset": preset}
     for assignment in assignments:
-        dotted, sep, raw = assignment.partition("=")
-        head, _, rest = dotted.partition(".")
-        names, dotted = ([head], rest) if head in arms else (list(arms), dotted)
-        if not sep or dotted.split(".")[0] not in ("train", "model"):
-            raise ConfigError(f"--set needs [ARM.]train.KEY=VALUE or [ARM.]model.KEY=VALUE "
-                              f"with ARM one of {', '.join(arms)}, got {assignment!r}")
-        if dotted == "train.seed":
-            raise ConfigError("--set train.seed: compare takes every arm's seeds from --seeds")
-        for name in names:
+        arm, dotted, raw = _parse_set(assignment, arms)
+        for name in [arm] if arm else arms:
             _apply_dotted(arms[name], dotted, raw)
     return arms
 
 
 def cmd_compare(args) -> int:
-    data_dir, task_kind, task = _data_task({"data": args.data}, "compare")
+    data_dir, task_kind, task = _data_task(args.data)
     arms = {name: resolve_arm(config, task_kind, f"{name}.")
             for name, config in _parse_arms(args.arm, args.set or []).items()}
-    seeds = _parse_seeds(args.seeds, 0)
+    seeds = _parse_seeds(args.seeds)
     train_set, eval_sets = _load_data_dir(data_dir, task,
                                           min(m.n_classes for m, _ in arms.values()))
     out = Path(args.out)
@@ -753,15 +737,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_generate)
 
-    p = sub.add_parser("train", help="train one or more seeds")
-    p.add_argument("--config", help="run config JSON")
-    p.add_argument("--data", help="dataset directory (train.jsonl + test*.jsonl)")
-    p.add_argument("--preset", choices=PRESETS, help="training preset")
-    p.add_argument("--task", choices=TASK_KINDS, help="task kind override")
-    p.add_argument("--seeds", help="count, or comma-separated seed list")
-    p.add_argument("--out", help="output directory")
+    p = sub.add_parser("train", help="train one preset over one or more seeds")
+    p.add_argument("--data", required=True, help="dataset directory written by generate")
+    p.add_argument("--preset", choices=PRESETS, default="cat", help="training preset")
+    p.add_argument("--seeds", default="1", help="count, or comma-separated seed list")
+    p.add_argument("--out", default="runs/latest", help="output directory")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="dotted config override, e.g. train.max_steps=100")
+                   help="a train.* or model.* override, e.g. train.max_steps=100")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("compare", help="train named arms over shared seeds and "

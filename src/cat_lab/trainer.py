@@ -446,14 +446,27 @@ def span_f1(predicted: np.ndarray, gold: np.ndarray) -> np.ndarray:
     return f1
 
 
+MAX_ANSWER_LEN = 8  # the longest span, in tokens, that evaluation decodes
+
+
+def check_answer_lengths(dataset: Dataset, where: str) -> None:
+    """A ValueError naming ``where`` if a gold span is longer than evaluation decodes."""
+    longest = int(np.max(dataset.spans[:, 1] - dataset.spans[:, 0], initial=-1)) + 1
+    if longest > MAX_ANSWER_LEN:
+        raise ValueError(f"{where} holds a gold span of {longest} tokens; evaluation "
+                         f"decodes spans of at most {MAX_ANSWER_LEN}")
+
+
 def evaluate(model: EncoderModel, dataset: Dataset, task: str,
-             batch_size: int = 256, max_answer_len: int = 8) -> dict:
+             batch_size: int = 256) -> dict:
     """Accuracy for classification; exact match and token F1 for spans."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     if task == CLASSIFICATION and dataset.labels.max() >= model.config.n_classes:
         raise ValueError(f"dataset label {dataset.labels.max()} is not one of "
                          f"the model's {model.config.n_classes} classes")
+    if task == SPAN:
+        check_answer_lengths(dataset, "the dataset")
     n = len(dataset)
     correct = 0.0
     em = 0.0
@@ -469,7 +482,7 @@ def evaluate(model: EncoderModel, dataset: Dataset, task: str,
         else:
             start, end = model.span_logits(h, mask)
             segments = None if dataset.segments is None else dataset.segments[idx]
-            predicted = _decode_spans(start.data, end.data, segments, max_answer_len)
+            predicted = _decode_spans(start.data, end.data, segments, MAX_ANSWER_LEN)
             gold = dataset.spans[idx]
             em += float(np.sum(np.all(predicted == gold, axis=1)))
             f1_total += float(np.sum(span_f1(predicted, gold)))
@@ -502,18 +515,15 @@ def write_metrics_csv(history: list[dict], path) -> None:
 
 
 def summarize_run(model_config: ModelConfig, config: TrainConfig,
-                  history: list[dict], final_eval: dict,
-                  wall_clock: float | None = None) -> dict:
-    summary = {
+                  history: list[dict], final_eval: dict, wall_clock: float) -> dict:
+    return {
         "model_config": asdict(model_config),
         "train_config": asdict(config),
         "seed": config.seed,
         "steps": history[-1]["step"] if history else 0,
         "final_eval": final_eval,
+        "wall_clock_seconds": wall_clock,
     }
-    if wall_clock is not None:
-        summary["wall_clock_seconds"] = wall_clock
-    return summary
 
 
 def write_summary_json(summary: dict, path) -> None:

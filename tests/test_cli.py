@@ -19,7 +19,7 @@ from cat_lab.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, PRESETS
                          main, run_seeds)
 from cat_lab.encoder import EncoderModel, ModelConfig
 from cat_lab.mixing import POSITION_STRATEGIES
-from cat_lab.trainer import ALGORITHMS, COMBINED, SEQUENTIAL, TrainConfig
+from cat_lab.trainer import ALGORITHMS, COMBINED, MAX_ANSWER_LEN, SEQUENTIAL, TrainConfig
 from test_acceptance import CRITERION_DATA
 
 FAST_OVERRIDES = [
@@ -141,7 +141,7 @@ def test_train_metrics_csv_byte_identical_across_runs(dataset_dir, tmp_path):
 @pytest.mark.parametrize("seeds, repeated", [
     (["--seeds", "1,1"], "seed 1 is repeated"),
     (["--seeds", "0,3,2,3"], "seed 3 is repeated"),
-    (["--set", "seeds=[2, 5, 2]"], "seed 2 is repeated"),
+    (["--seeds", "2,5,2"], "seed 2 is repeated"),
     (["--seeds", "3,x"], "seeds: expected a count or a comma-separated list of integers"),
     (["--seeds", "two"], "seeds: expected a count or a comma-separated list of integers"),
 ])
@@ -242,36 +242,72 @@ def test_data_without_manifest_takes_its_task_from_the_records(tmp_path, command
 
 
 @pytest.mark.parametrize("value", [[], "span", [1], "x"])
-@pytest.mark.parametrize("command, what", [
-    ("train", "manifest"), ("compare", "manifest"), ("train", "run config")])
-def test_non_object_json_file_is_config_error(dataset_dir, tmp_path, capsys,
-                                              command, what, value):
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_non_object_json_file_is_config_error(dataset_dir, tmp_path, capsys, command, value):
     args = [command, "--data", str(dataset_dir), "--out", str(tmp_path / "run")]
     args += ["--arm", "a=erm"] if command == "compare" else ["--preset", "erm"]
-    if what == "manifest":
-        (dataset_dir / "manifest.json").write_text(json.dumps(value))
-    else:
-        (tmp_path / "run.json").write_text(json.dumps(value))
-        args += ["--config", str(tmp_path / "run.json")]
+    (dataset_dir / "manifest.json").write_text(json.dumps(value))
     assert main(args) == EXIT_CONFIG
-    assert f"{what}: expected an object, got {type(value).__name__}" in \
+    assert f"manifest: expected an object, got {type(value).__name__}" in \
         capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("run_config, message", [
-    ({"_overrides": {"train.max_steps": 3}}, "unknown key '_overrides'"),
-    ({"base": {}, "grid": {"train.max_steps": [3]}}, "unknown key 'base'"),
-    ({"seeds": True}, "'seeds' has the wrong type: True"),
-    ({"model": "small"}, "'model' has the wrong type: 'small'"),
-])
-def test_run_config_keys_and_types_are_checked(dataset_dir, tmp_path, capsys,
-                                               run_config, message):
-    (tmp_path / "run.json").write_text(json.dumps(run_config))
+# inputs that train refuses, having only --data, --preset, --seeds, --out and
+# --set train|model.KEY=VALUE, and the text naming each; argparse refuses the flags
+REMOVED_TRAIN_INPUTS = [
+    (["--config", "run.json"], "unrecognized arguments: --config"),
+    (["--task", "span"], "unrecognized arguments: --task span"),
+    (["--set", "seeds=2"], "got 'seeds=2'"),
+    (["--set", "preset=erm"], "got 'preset=erm'"),
+    (["--set", "task=span"], "got 'task=span'"),
+    (["--set", "data=x"], "got 'data=x'"),
+    (["--set", "out=x"], "got 'out=x'"),
+    (["--set", "train.seed=3"], "train.seed: runs take their seeds from --seeds"),
+    (["--set", 'train={"seed": 3}'], "train.seed: runs take their seeds from --seeds"),
+]
+
+
+@pytest.mark.parametrize("args, message", REMOVED_TRAIN_INPUTS)
+def test_removed_train_input_exits_2_naming_it(dataset_dir, tmp_path, capsys, args, message):
     out = tmp_path / "run"
-    assert main(["train", "--data", str(dataset_dir), "--preset", "erm", "--out", str(out),
-                 "--config", str(tmp_path / "run.json")]) == EXIT_CONFIG
-    assert f"run config: {message}" in capsys.readouterr().err
+    argv = ["train", "--data", str(dataset_dir), "--out", str(out), *args]
+    if args[0] == "--set":
+        assert main(argv) == EXIT_CONFIG
+    else:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "compare", "eval"])
+def test_gold_span_longer_than_evaluation_decodes_exits_2(tmp_path, capsys, command):
+    spec = write_spec(tmp_path / "spec.json", task="span", seed=3, n_train=16, n_test=24,
+                      scm={"seq_len": 32, "query_len": 4, "max_answer_len": 12,
+                           "typed_answers": True})
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert main(["generate", "--spec", str(spec), "--out", str(data)]) == EXIT_OK
+    iid = data / "test_iid.jsonl"
+    longest = max(end - start + 1 for start, end in
+                  (json.loads(line)["span"] for line in iid.read_text().splitlines()))
+    assert longest > MAX_ANSWER_LEN
+    if command == "eval":
+        checkpoint = tmp_path / "model.npz"
+        EncoderModel(ModelConfig(use_span_head=True, max_seq_len=32),
+                     np.random.default_rng(0)).save(checkpoint)
+        argv = ["eval", "--checkpoint", str(checkpoint), "--data", str(iid),
+                "--out", str(out)]
+        where = "the dataset"
+    else:
+        argv = [command, "--data", str(data), "--out", str(out), "--seeds", "1",
+                *FAST_OVERRIDES, "--set", "model.max_seq_len=32",
+                *(["--arm", "a=cat"] if command == "compare" else [])]
+        where = str(iid)
+    assert main(argv) == EXIT_CONFIG
+    assert f"{where} holds a gold span of {longest} tokens; evaluation decodes spans " \
+           f"of at most {MAX_ANSWER_LEN}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -359,20 +395,19 @@ REMOVED_TRAIN_FIELDS = {"crm_lr": 1e-3, "grad_clip": 1.0, "adam_beta1": 0.9,
 
 
 @pytest.mark.parametrize("field", REMOVED_TRAIN_FIELDS)
-def test_removed_train_field_exits_2_through_compare_and_config_file(dataset_dir, tmp_path,
-                                                                    capsys, field):
+def test_removed_train_field_exits_2_through_compare_and_train_set(dataset_dir, tmp_path,
+                                                                  capsys, field):
     value = REMOVED_TRAIN_FIELDS[field]
     out = tmp_path / "cmp"
     assert compare(dataset_dir, out, "--arm", "a=cat", "--seeds", "1",
                    "--set", f"a.train.{field}={value}") == EXIT_CONFIG
     assert f"a.train: unknown field {field!r}" in capsys.readouterr().err
     assert not out.exists()
-    (tmp_path / "run.json").write_text(json.dumps({"train": {field: value}}))
     out = tmp_path / "run"
     assert main(["train", "--data", str(dataset_dir), "--preset", "cat", "--out", str(out),
-                 "--config", str(tmp_path / "run.json")]) == EXIT_CONFIG
+                 "--set", f"train.{field}={value}"]) == EXIT_CONFIG
     assert f"train: unknown field {field!r}" in capsys.readouterr().err
-    assert not (out / "seed_0").exists()
+    assert not out.exists()
 
 
 # an object merges into earlier overrides, and later leaves win in either order
@@ -519,6 +554,8 @@ def test_compare_one_arm_reduces_to_train(dataset_dir, tmp_path):
     (["--arm", "a=cat", "--arm", "b=cat", "--set", "b.train.candidate_layers=[9]"],
      "arm b: candidate layer 9"),
     (["--arm", "a=cat", "--arm", "b=cat", "--set", "b.train.seed=3"], "seeds from --seeds"),
+    (["--arm", "a=cat", "--arm", "b=cat", "--set", 'b.train={"seed": 3}'],
+     "b.train.seed: runs take their seeds from --seeds"),
     (["--arm", "a=cat", "--arm", "b=cat", "--set", "b.train.batch_size=-1"],
      "b.train: batch size must be >= 1"),
     (["--arm", "a=cat", "--arm", "b=cat", "--set", "b.train.max_steps=[3, 4]"],
@@ -862,8 +899,8 @@ SET_KEYS = [
     "model.n_heads", "model.n_layers", "model.d_model", "model.d_ff", "model.vocab_size",
     "model.max_seq_len", "model.n_classes", "model.use_span_head", "model.pad_id",
 ]
-# by field name: the names a string field takes, and seed counts that keep a run short
-FIELD_CHOICES = {"task": TASK_KINDS, "preset": PRESETS, "seeds": (0, 1, 2),
+# by field name: the names a string field takes
+FIELD_CHOICES = {"task": TASK_KINDS, "preset": PRESETS,
                  "algorithm": ALGORITHMS, "update_mode": (SEQUENTIAL, COMBINED),
                  "span_mix_strategy": POSITION_STRATEGIES}
 SPEC_FIELDS = ["task", "scm", "seed", "n_train", "n_test", "case_study", "bogus"]
@@ -935,7 +972,7 @@ def typed_values(hint):
 
 
 def fitting_values(key):
-    """Values that fit run-config ``key``: its field's choices, else values of the type
+    """Values that fit ``--set`` key ``key``: its field's choices, else values of the type
     that its ``train``/``model`` field declares; any JSON for another key."""
     head, *path = key.split(".")
     hint = {"train": TrainConfig, "model": ModelConfig}.get(head)
