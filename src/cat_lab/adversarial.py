@@ -23,7 +23,6 @@ import numpy as np
 from cat_lab import autodiff as ad
 from cat_lab.autodiff import Tape, Tensor, backward
 from cat_lab.mixing import MixPlan, interpolate
-from cat_lab.risk import prediction_terms
 
 
 @dataclass
@@ -47,25 +46,23 @@ def adversarial_objective(lam, h_i, h_j, labels, predict, config: AdversarialCon
     """Scalar objective to MAXIMIZE, summed over the batch.
 
     ``predict`` maps blended hidden states to head outputs (class logits, or
-    a (start, end) logit pair for spans).  Each coefficient is a per-sample
-    scalar, so its p-norm is |coefficient| for every order p.
+    a (start, end) logit pair for spans, with a (starts, ends) label pair).
+    Each coefficient is a per-sample scalar, so its p-norm is |coefficient|
+    for every order p.  The terms are one ``ascent_objective`` node.
     """
-    mixed = interpolate(h_i, h_j, lam, position_mask)
-    loss_vec, confidence = prediction_terms(predict(mixed), labels)
-    lam_t = lam if isinstance(lam, Tensor) else Tensor(np.asarray(lam))
-    per_sample = ad.add(
-        ad.smul(ad.absolute(lam_t), -1.0),
-        ad.add(ad.smul(loss_vec, config.gamma), ad.smul(confidence, config.eta)),
-    )
-    return ad.reduce_sum(per_sample)
+    outputs = predict(interpolate(h_i, h_j, lam, position_mask))
+    if isinstance(outputs, tuple):
+        return ad.ascent_objective(outputs, labels, lam, config.gamma, config.eta)
+    return ad.ascent_objective((outputs,), (labels,), lam, config.gamma, config.eta)
 
 
 def optimize_lambda(plan: MixPlan, h_i, h_j, labels, predict,
-                    config: AdversarialConfig, position_mask=None) -> MixPlan:
+                    config: AdversarialConfig) -> MixPlan:
     """Run the inner ascent loop; returns the plan with optimized coefficients.
 
     ``h_i`` and ``h_j`` should be detached states: the only leaf updated is
-    the coefficient vector.  With zero steps the plan is returned unchanged.
+    the coefficient vector.  The blend follows ``plan.position_mask``.  With
+    zero steps the plan is returned unchanged.
     """
     if config.steps == 0:
         return plan
@@ -74,7 +71,7 @@ def optimize_lambda(plan: MixPlan, h_i, h_j, labels, predict,
         lam_t = Tensor(lam, requires_grad=True)
         with Tape():
             objective = adversarial_objective(
-                lam_t, h_i, h_j, labels, predict, config, position_mask
+                lam_t, h_i, h_j, labels, predict, config, plan.position_mask
             )
             grads = backward(objective)
         step = grads[lam_t].data

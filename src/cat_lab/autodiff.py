@@ -18,11 +18,15 @@ Scope is deliberately narrow:
 
 Besides the small primitives, fused ones cover the encoder's hot path with
 one tape node each and a hand-written backward pass: ``embedding``,
-``linear``, ``layer_norm_affine`` and ``attention``.  The first three run the
+``linear``, ``layer_norm_affine`` and ``attention``.  Five more cover the
+per-sample tail of a training step: the two heads (``classifier_head``,
+``span_head``), ``cross_entropy``, the counterfactual ``blend`` and the
+coefficient ascent's ``ascent_objective``.  All but ``attention`` run the
 same numpy operations as the chains of small primitives they replace, so
-their outputs are bit-identical; ``attention`` lays its scores out key-outer
-and so sums its softmax rows in another order (see its docstring).  A
-backward pass computes only the gradients of inputs that require one.
+their outputs and gradients are bit-identical; ``attention`` lays its
+scores out key-outer and so sums its softmax rows in another order (see its
+docstring).  A backward pass computes only the gradients of inputs that
+require one.
 Model parameters live in a ``ParameterBuffer``: one contiguous float64
 vector with a named Tensor viewing each slice.
 
@@ -81,6 +85,11 @@ __all__ = [
     "linear",
     "layer_norm_affine",
     "attention",
+    "classifier_head",
+    "span_head",
+    "cross_entropy",
+    "blend",
+    "ascent_objective",
     "MASK_FILL",
     "ParameterBuffer",
 ]
@@ -233,21 +242,40 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _wrap(data) -> Tensor:
+    """``Tensor(data)``, skipping ``np.asarray`` where it would return ``data`` itself."""
+    out = Tensor.__new__(Tensor)
+    out.data = (data if type(data) is np.ndarray and data.dtype is _FLOAT64
+                else np.asarray(data, dtype=np.float64))
+    out.requires_grad = False
+    out.node = None
+    return out
+
+
 def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, grad_fn) -> Tensor:
     """Wrap ``out_data``; record onto the active tape if any input needs grad.
 
     ``grad_fn(g)`` must return one gradient array (or None) per input, in
-    order.
+    order.  An input listed more than once receives its gradients in that
+    order, which is how a fused primitive keeps the order in which the chain
+    it replaces added several contributions into one tensor.
     """
-    out = Tensor(out_data)
-    requires = any(t.requires_grad for t in inputs)
-    if not requires:
+    out = _wrap(out_data)
+    for t in inputs:
+        if t.requires_grad:
+            break
+    else:
         return out
     out.requires_grad = True
-    tape = active_tape()
-    if tape is None:
+    stack = getattr(_LOCAL, "tapes", None)
+    if not stack:
         return out
-    parents = tuple(tape._node_for(t) if t.requires_grad else None for t in inputs)
+    tape = stack[-1]
+    node_for = tape._node_for
+    parents = tuple([node_for(t) if t.requires_grad else None for t in inputs])
     out.node = tape._append(op, parents, grad_fn)
     return out
 
@@ -432,15 +460,23 @@ def softmax(a) -> Tensor:
     return _record("softmax", (a,), out, grad_fn)
 
 
+def _log_softmax_last(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
+
+
+def _log_softmax_grad(g: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    return g - probs * g.sum(axis=-1, keepdims=True)
+
+
 def log_softmax(a) -> Tensor:
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = shifted - lse
+    out = _log_softmax_last(a.data)
     probs = np.exp(out)
 
     def grad_fn(g):
-        return (g - probs * g.sum(axis=-1, keepdims=True),)
+        return (_log_softmax_grad(g, probs),)
 
     return _record("log_softmax", (a,), out, grad_fn)
 
@@ -518,7 +554,7 @@ def absolute(a) -> Tensor:
 
 def _reduction_grad(g, shape, axis):
     if axis is None:
-        return np.broadcast_to(g, shape).copy()
+        return np.full(shape, g)
     return np.broadcast_to(np.expand_dims(g, axis), shape).copy()
 
 
@@ -543,20 +579,30 @@ def reduce_mean(a, axis=None) -> Tensor:
     return _record("mean", (a,), a.data.mean(axis=axis), grad_fn)
 
 
+def _pick_last(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``x[..., idx]``: one entry along the last axis per leading position."""
+    flat = x.reshape(-1, x.shape[-1])
+    return flat[np.arange(flat.shape[0]), idx.reshape(-1)].reshape(idx.shape)
+
+
+def _pick_last_grad(g: np.ndarray, idx: np.ndarray, shape: tuple) -> np.ndarray:
+    """Zeros of ``shape`` holding ``g`` at the entries ``_pick_last`` picked."""
+    gz = np.zeros(shape)
+    flat = gz.reshape(-1, shape[-1])
+    flat[np.arange(flat.shape[0]), idx.reshape(-1)] = g.reshape(-1)
+    return gz
+
+
 def max_last(a) -> Tensor:
     """Maximum over the last axis; ties route the gradient to the first hit."""
     a = _as_tensor(a)
     idx = a.data.argmax(axis=-1)
-    out = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
     shape = a.shape
 
     def grad_fn(g):
-        gz = np.zeros(shape)
-        flat = gz.reshape(-1, shape[-1])
-        flat[np.arange(flat.shape[0]), idx.reshape(-1)] = g.reshape(-1)
-        return (gz,)
+        return (_pick_last_grad(g, idx, shape),)
 
-    return _record("max", (a,), out, grad_fn)
+    return _record("max", (a,), _pick_last(a.data, idx), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -591,25 +637,26 @@ def gather(a, indices, axis: int = 0) -> Tensor:
     return _record("gather", (a,), a.data[where], grad_fn)
 
 
+def _checked_last_index(op: str, a: Tensor, indices, what: str = "index") -> np.ndarray:
+    idx = np.asarray(indices)
+    if idx.shape != a.shape[:-1]:
+        raise _shape_error(op, a.shape, idx.shape)
+    last = a.shape[-1]
+    if idx.size and (idx.min() < 0 or idx.max() >= last):
+        raise ValueError(f"{op}: {what} out of range [0, {last})")
+    return idx
+
+
 def take_last(a, indices) -> Tensor:
     """Select one entry along the last axis per leading position."""
     a = _as_tensor(a)
-    idx = np.asarray(indices)
-    if idx.shape != a.shape[:-1]:
-        raise _shape_error("take_last", a.shape, idx.shape)
-    last = a.shape[-1]
-    if idx.size and (idx.min() < 0 or idx.max() >= last):
-        raise ValueError(f"take_last: index out of range [0, {last})")
-    out = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
+    idx = _checked_last_index("take_last", a, indices)
     shape = a.shape
 
     def grad_fn(g):
-        gz = np.zeros(shape)
-        flat = gz.reshape(-1, last)
-        flat[np.arange(flat.shape[0]), idx.reshape(-1)] = g.reshape(-1)
-        return (gz,)
+        return (_pick_last_grad(g, idx, shape),)
 
-    return _record("take_last", (a,), out, grad_fn)
+    return _record("take_last", (a,), _pick_last(a.data, idx), grad_fn)
 
 
 def masked_fill(a, mask, value: float) -> Tensor:
@@ -708,6 +755,19 @@ def embedding(table, positions, tokens) -> Tensor:
     return _record("embedding", (table, positions), out, grad_fn)
 
 
+def _affine(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    out = np.matmul(xd, wd)
+    out += bd
+    return out
+
+
+def _affine_grads(g, xd, wd, bd, need) -> tuple:
+    """``linear``'s backward: the gradients of (x, w, b) that ``need`` asks for."""
+    return (np.matmul(g, wd.T) if need[0] else None,
+            _weight_grad(xd, g, wd.shape) if need[1] else None,
+            _unbroadcast(g, bd.shape) if need[2] else None)
+
+
 def linear(x, w, b) -> Tensor:
     """``x @ w + b`` over the last axis: x (..., d_in), w (d_in, d_out), b (d_out,)."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
@@ -715,17 +775,28 @@ def linear(x, w, b) -> Tensor:
     if xd.ndim < 1 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] \
             or bd.shape != wd.shape[1:]:
         raise _shape_error("linear", xd.shape, wd.shape, bd.shape)
-    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
+    need = (x.requires_grad, w.requires_grad, b.requires_grad)
 
     def grad_fn(g):
-        gx = np.matmul(g, wd.T) if need_x else None
-        gw = _weight_grad(xd, g, wd.shape) if need_w else None
-        gb = _unbroadcast(g, bd.shape) if need_b else None
-        return gx, gw, gb
+        return _affine_grads(g, xd, wd, bd, need)
 
-    out = np.matmul(xd, wd)
+    return _record("linear", (x, w, b), _affine(xd, wd, bd), grad_fn)
+
+
+def _norm_affine(xd, gd, bd, eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``layer_norm_affine``'s forward: (output, normalized x, 1 / std)."""
+    xhat, inv = _normalize(xd, eps)
+    out = xhat * gd
     out += bd
-    return _record("linear", (x, w, b), out, grad_fn)
+    return out, xhat, inv
+
+
+def _norm_affine_grads(g, gd, xhat, inv, need) -> tuple:
+    """``layer_norm_affine``'s backward: the gradients of (x, gain, bias) ``need`` asks for."""
+    width = xhat.shape[-1:]
+    return (_normalize_grad(g * gd, xhat, inv) if need[0] else None,
+            _unbroadcast(g * xhat, width) if need[1] else None,
+            _unbroadcast(g, width) if need[2] else None)
 
 
 def layer_norm_affine(x, gain, bias, eps: float = LN_EPS) -> Tensor:
@@ -735,17 +806,12 @@ def layer_norm_affine(x, gain, bias, eps: float = LN_EPS) -> Tensor:
     if x.ndim < 1 or gain.shape != width or bias.shape != width:
         raise _shape_error("layer_norm_affine", x.shape, gain.shape, bias.shape)
     gd = gain.data
-    xhat, inv = _normalize(x.data, eps)
-    need_x, need_gain, need_bias = x.requires_grad, gain.requires_grad, bias.requires_grad
+    out, xhat, inv = _norm_affine(x.data, gd, bias.data, eps)
+    need = (x.requires_grad, gain.requires_grad, bias.requires_grad)
 
     def grad_fn(g):
-        gx = _normalize_grad(g * gd, xhat, inv) if need_x else None
-        ggain = _unbroadcast(g * xhat, width) if need_gain else None
-        gbias = _unbroadcast(g, width) if need_bias else None
-        return gx, ggain, gbias
+        return _norm_affine_grads(g, gd, xhat, inv, need)
 
-    out = xhat * gd
-    out += bias.data
     return _record("layer_norm_affine", (x, gain, bias), out, grad_fn)
 
 
@@ -859,6 +925,213 @@ def attention(x, wq, wk, wv, wo, bo, n_heads: int, key_pad=None,
 
 
 # ---------------------------------------------------------------------------
+# fused per-sample tail: heads, cross-entropy, blend, ascent objective
+#
+# Each runs the numpy operations of the small-primitive chain it replaces, in
+# the same order, so values and gradients are bit-identical to the chain.
+# Where the chain adds several gradients into one tensor, the fused node
+# lists that input once per contribution, in the order backward visited the
+# chain's consumers (the reverse of their creation).
+# ---------------------------------------------------------------------------
+
+
+def classifier_head(x, gain, bias, w1, b1, w2, b2, eps: float = LN_EPS) -> Tensor:
+    """``linear(tanh(linear(layer_norm_affine(x, gain, bias), w1, b1)), w2, b2)``.
+
+    ``x`` is (..., d); ``gain`` and ``bias`` are (d,), ``w1`` (d, h), ``b1``
+    (h,), ``w2`` (h, k) and ``b2`` (k,).
+    """
+    inputs = tuple(_as_tensor(t) for t in (x, gain, bias, w1, b1, w2, b2))
+    xd, gd, bd, w1d, b1d, w2d, b2d = (t.data for t in inputs)
+    width = xd.shape[-1:]
+    if xd.ndim < 1 or gd.shape != width or bd.shape != width or w1d.ndim != 2 \
+            or w1d.shape[0] != width[0] or b1d.shape != w1d.shape[1:] \
+            or w2d.ndim != 2 or w2d.shape[0] != w1d.shape[1] or b2d.shape != w2d.shape[1:]:
+        raise _shape_error("classifier_head", *(t.shape for t in inputs))
+    normed, xhat, inv = _norm_affine(xd, gd, bd, eps)
+    hidden = _affine(normed, w1d, b1d)
+    np.tanh(hidden, out=hidden)
+    need = tuple(t.requires_grad for t in inputs)
+    # whether each intermediate needs a gradient: tanh's output, the normed states
+    need_hidden, need_normed = any(need[:5]), any(need[:3])
+
+    def grad_fn(g):
+        g_hidden, g_w2, g_b2 = _affine_grads(g, hidden, w2d, b2d, (need_hidden,) + need[5:])
+        if not need_hidden:
+            return None, None, None, None, None, g_w2, g_b2
+        g_normed, g_w1, g_b1 = _affine_grads(g_hidden * (1.0 - hidden * hidden), normed,
+                                             w1d, b1d, (need_normed,) + need[3:5])
+        if not need_normed:
+            return None, None, None, g_w1, g_b1, g_w2, g_b2
+        return (*_norm_affine_grads(g_normed, gd, xhat, inv, need[:3]), g_w1, g_b1, g_w2, g_b2)
+
+    return _record("classifier_head", inputs, _affine(hidden, w2d, b2d), grad_fn)
+
+
+def span_head(x, gain, bias, w_start, b_start, w_end, b_end, pad,
+              eps: float = LN_EPS) -> Tensor:
+    """Start and end logits, stacked as (2, batch, seq).
+
+    Each is ``masked_fill(reshape(linear(normed, w, b), (batch, seq)), pad,
+    MASK_FILL)`` over ``normed = layer_norm_affine(x, gain, bias)``: ``x``
+    is (batch, seq, d), each ``w`` (d, 1) and each ``b`` (1,), and ``pad``
+    a (batch, seq) bool array whose true positions get ``MASK_FILL`` and no
+    gradient.
+    """
+    inputs = tuple(_as_tensor(t) for t in (x, gain, bias, w_start, b_start, w_end, b_end))
+    xd, gd, bd = (t.data for t in inputs[:3])
+    projections = ((inputs[3].data, inputs[4].data), (inputs[5].data, inputs[6].data))
+    width = xd.shape[-1:]
+    pad = np.asarray(pad, dtype=bool)
+    if xd.ndim != 3 or gd.shape != width or bd.shape != width \
+            or any(w.shape != width + (1,) or b.shape != (1,) for w, b in projections) \
+            or pad.shape != xd.shape[:2]:
+        raise _shape_error("span_head", *(t.shape for t in inputs), pad.shape)
+    b, s, _ = xd.shape
+    normed, xhat, inv = _norm_affine(xd, gd, bd, eps)
+    out = np.empty((2, b, s))
+    for k, (w, bias_k) in enumerate(projections):
+        out[k] = _affine(normed, w, bias_k).reshape(b, s)
+        np.copyto(out[k], MASK_FILL, where=pad)
+    need = tuple(t.requires_grad for t in inputs)
+    need_normed = any(need[:3])
+
+    def grad_fn(g):
+        grads = [None] * 4
+        g_normed = None
+        for k in (1, 0):  # the chain's backward reached the end head first
+            g_k = np.where(pad, 0.0, g[k]).reshape(b, s, 1)
+            g_x, grads[2 * k], grads[2 * k + 1] = _affine_grads(
+                g_k, normed, *projections[k], (need_normed,) + need[3 + 2 * k:5 + 2 * k])
+            if need_normed:
+                g_normed = g_x if g_normed is None else g_normed + g_x
+        if not need_normed:
+            return None, None, None, *grads
+        return (*_norm_affine_grads(g_normed, gd, xhat, inv, need[:3]), *grads)
+
+    return _record("span_head", inputs, out, grad_fn)
+
+
+def cross_entropy(logits, labels) -> Tensor:
+    """Per-position ``-log_softmax(logits)[label]`` over the last axis.
+
+    The chain ``smul(take_last(log_softmax(logits), labels), -1.0)``;
+    ``labels`` is an integer array of ``logits.shape[:-1]``.
+    """
+    logits = _as_tensor(logits)
+    idx = _checked_last_index("cross_entropy", logits, labels, "label")
+    log_probs = _log_softmax_last(logits.data)
+
+    def grad_fn(g):
+        return (_cross_entropy_grad(g, log_probs, idx),)
+
+    return _record("cross_entropy", (logits,), _pick_last(log_probs, idx) * -1.0, grad_fn)
+
+
+def _cross_entropy_grad(g: np.ndarray, log_probs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    return _log_softmax_grad(_pick_last_grad(g * -1.0, idx, log_probs.shape),
+                             np.exp(log_probs))
+
+
+def blend(x, y, lam, mask=None) -> Tensor:
+    """``lam * y + (1 - lam) * x`` per axis-0 row, kept only where ``mask`` is 1.
+
+    ``x`` and ``y`` are (B, ...) and ``lam`` is (B,).  ``mask``, an optional
+    float array of zeros and ones that broadcasts against ``x``, gives
+    ``blended * mask + x * (1 - mask)``.  The chain is ``add(scale_rows(y,
+    lam), scale_rows(x, sub(1.0, lam)))``, then ``add(mul(., mask), mul(x,
+    1 - mask))`` with a mask.  Its backward pass added into ``lam`` the
+    partner term and then the one-minus term, and with a mask into ``x``
+    the mask term and then the row term, so each is an input twice.
+    """
+    x, y, lam = _as_tensor(x), _as_tensor(y), _as_tensor(lam)
+    xd, yd = x.data, y.data
+    if xd.shape != yd.shape or lam.ndim != 1 or xd.ndim < 1 or xd.shape[0] != lam.shape[0]:
+        raise _shape_error("blend", xd.shape, yd.shape, lam.shape)
+    expand = (slice(None),) + (None,) * (xd.ndim - 1)
+    axes = tuple(range(1, xd.ndim))
+    lam_rows = lam.data[expand]
+    keep_rows = (1.0 - lam.data)[expand]
+    out = yd * lam_rows
+    out += xd * keep_rows
+    if mask is None:
+        inputs = (x, y, lam, lam)
+    else:
+        out *= mask
+        out += xd * (1.0 - mask)
+        inputs = (x, x, y, lam, lam)
+    need_x, need_y, need_lam = x.requires_grad, y.requires_grad, lam.requires_grad
+
+    def grad_fn(g):
+        grads = []
+        if mask is not None:
+            grads.append(g * (1.0 - mask) if need_x else None)
+            g = g * mask
+        grads.append(g * keep_rows if need_x else None)
+        grads.append(g * lam_rows if need_y else None)
+        if need_lam:
+            grads += [(g * yd).sum(axis=axes), -(g * xd).sum(axis=axes)]
+        else:
+            grads += [None, None]
+        return grads
+
+    return _record("blend", inputs, out, grad_fn)
+
+
+def ascent_objective(heads, labels, lam, gamma: float, eta: float) -> Tensor:
+    """``sum(-|lam| + gamma * loss + eta * confidence)`` over the batch.
+
+    ``heads`` is one (B, k) logits tensor, or a (start, end) pair of them,
+    with ``labels`` likewise.  The loss is the cross-entropy, summed over
+    the pair; the confidence is the largest softmax probability, multiplied
+    over the pair.  In the chain each head fed its confidence path and its
+    loss path, and backward added the confidence gradient first; so each
+    head is an input twice, confidence slot first.
+    """
+    heads = tuple(_as_tensor(h) for h in heads)
+    lam = _as_tensor(lam)
+    if len(heads) not in (1, 2) or len(labels) != len(heads):
+        raise ValueError(f"ascent_objective: {len(heads)} heads for {len(labels)} label sets")
+    if any(h.ndim != 2 or h.shape[:1] != lam.shape for h in heads):
+        raise _shape_error("ascent_objective", *(h.shape for h in heads), lam.shape)
+    idx = [_checked_last_index("ascent_objective", h, y, "label")
+           for h, y in zip(heads, labels)]
+    gamma, eta = float(gamma), float(eta)
+    log_probs = [_log_softmax_last(h.data) for h in heads]
+    losses = [_pick_last(lp, i) * -1.0 for lp, i in zip(log_probs, idx)]
+    probs = [_softmax_last(h.data) for h in heads]
+    best = [p.argmax(axis=-1) for p in probs]
+    confidences = [_pick_last(p, i) for p, i in zip(probs, best)]
+    loss = losses[0] if len(heads) == 1 else losses[0] + losses[1]
+    confidence = confidences[0] if len(heads) == 1 else confidences[0] * confidences[1]
+    sign = np.sign(lam.data)
+    per_sample = np.abs(lam.data) * -1.0
+    per_sample += loss * gamma + confidence * eta
+    inputs = tuple(h for h in heads for _ in range(2)) + (lam,)
+    need_lam = lam.requires_grad
+
+    def grad_fn(g):
+        g = _reduction_grad(g, per_sample.shape, None)
+        g_loss, g_confidence = g * gamma, g * eta
+        if len(heads) == 2:  # the product's factors: each gets the other's value
+            g_confidence = (g_confidence * confidences[1], g_confidence * confidences[0])
+        else:
+            g_confidence = (g_confidence,)
+        grads = []
+        for k, h in enumerate(heads):
+            if h.requires_grad:
+                grads += [_softmax_grad(_pick_last_grad(g_confidence[k], best[k], h.shape),
+                                        probs[k]),
+                          _cross_entropy_grad(g_loss, log_probs[k], idx[k])]
+            else:
+                grads += [None, None]
+        grads.append(g * -1.0 * sign if need_lam else None)
+        return grads
+
+    return _record("ascent_objective", inputs, per_sample.sum(), grad_fn)
+
+
+# ---------------------------------------------------------------------------
 # parameter storage
 # ---------------------------------------------------------------------------
 
@@ -963,7 +1236,7 @@ def backward(loss: Tensor) -> GradientMap:
         grads[i] = None
         n = nodes[i]
         if n.grad_fn is None:
-            leaves[n.idx] = Tensor(g)
+            leaves[n.idx] = _wrap(g)
             continue
         for parent, pg in zip(n.parents, n.grad_fn(g)):
             if parent is None or pg is None:

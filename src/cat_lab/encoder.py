@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from cat_lab import autodiff as ad
-from cat_lab.autodiff import MASK_FILL, ParameterBuffer, Tensor
+from cat_lab.autodiff import ParameterBuffer, Tensor
 
 CLS_POSITION = 0  # the position the classification head pools
 
@@ -187,42 +187,43 @@ class EncoderModel:
             h = self._block(h, i, key_pad, query if i == to_layer - 1 else None)
         return h
 
-    def _final_norm(self, h: Tensor) -> Tensor:
-        return self._ln(h, "final_ln")
-
     def pooled(self, h_last: Tensor) -> Tensor:
         """First-position vector after the final layer norm (CLS-style).
 
         ``h_last`` is (batch, seq, d), or the (batch, d) first-position
         states of ``forward_layers(..., query=CLS_POSITION)``.
         """
-        normed = self._final_norm(h_last)
+        normed = self._ln(h_last, "final_ln")
         return normed if normed.ndim == 2 else ad.gather(normed, CLS_POSITION, axis=1)
 
     def classify(self, h_last: Tensor, mask=None) -> Tensor:
         """Class logits from the pooled vector: affine -> Tanh -> affine.
 
-        ``h_last`` is either form ``pooled`` takes.
+        ``h_last`` is either form ``pooled`` takes; one ``classifier_head``
+        node runs the final layer norm and the head on the first-position
+        states.
 
         ``mask`` is accepted for interface symmetry; first-position pooling
         does not consult it.
         """
-        hidden = ad.tanh(self._linear(self.pooled(h_last), "cls_w1", "cls_b1"))
-        return self._linear(hidden, "cls_w2", "cls_b2")
+        if h_last.ndim == 3:
+            h_last = ad.gather(h_last, CLS_POSITION, axis=1)
+        p = self._params
+        return ad.classifier_head(h_last, p["final_ln_gain"], p["final_ln_bias"],
+                                  p["cls_w1"], p["cls_b1"], p["cls_w2"], p["cls_b2"])
 
     def span_logits(self, h_last: Tensor, mask) -> tuple[Tensor, Tensor]:
-        """Per-position start and end logits; pad positions forced to -1e9."""
+        """Per-position start and end logits; pad positions forced to -1e9.
+
+        One ``span_head`` node computes both as a (2, batch, seq) stack.
+        """
         if not self.config.use_span_head:
             raise ValueError("span head not enabled in this model config")
-        normed = self._final_norm(h_last)
-        b, s, _ = normed.shape
-        pad = np.asarray(mask) == 0.0
-
-        def head(prefix):
-            logits = self._linear(normed, prefix + "_w", prefix + "_b")
-            return ad.masked_fill(ad.reshape(logits, (b, s)), pad, MASK_FILL)
-
-        return head("span_start"), head("span_end")
+        p = self._params
+        both = ad.span_head(h_last, p["final_ln_gain"], p["final_ln_bias"],
+                            p["span_start_w"], p["span_start_b"],
+                            p["span_end_w"], p["span_end_b"], np.asarray(mask) == 0.0)
+        return ad.gather(both, 0), ad.gather(both, 1)
 
     # -- checkpointing -------------------------------------------------------
 

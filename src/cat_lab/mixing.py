@@ -118,7 +118,7 @@ def build_mix_plan(batch_size: int, candidate_layers, params: BetaParams,
 
 
 def interpolate(h_i, h_j, lam, position_mask: np.ndarray | None = None) -> Tensor:
-    """Convex blend lam*h_j + (1-lam)*h_i, per sample.
+    """Convex blend lam*h_j + (1-lam)*h_i, per sample, as one ``blend`` node.
 
     ``lam`` may be a plain array or a requires_grad Tensor (the adversarial
     loop differentiates through it).  Where a position mask is False the
@@ -129,18 +129,14 @@ def interpolate(h_i, h_j, lam, position_mask: np.ndarray | None = None) -> Tenso
     if h_i.shape != h_j.shape:
         raise ValueError(f"interpolate: shape mismatch {h_i.shape} vs {h_j.shape}")
     lam_t = lam if isinstance(lam, Tensor) else Tensor(np.asarray(lam, dtype=np.float64))
-    one_minus = ad.sub(Tensor(1.0), lam_t)
-    mixed = ad.add(ad.scale_rows(h_j, lam_t), ad.scale_rows(h_i, one_minus))
     if position_mask is None:
-        return mixed
+        return ad.blend(h_i, h_j, lam_t)
     pm = np.asarray(position_mask, dtype=np.float64)
     if pm.shape != h_i.shape[: pm.ndim]:
         raise ValueError(
             f"interpolate: position mask {pm.shape} does not fit states {h_i.shape}"
         )
-    pm = pm.reshape(pm.shape + (1,) * (h_i.ndim - pm.ndim))
-    pm = np.broadcast_to(pm, h_i.shape)
-    return ad.add(ad.mul(mixed, Tensor(pm)), ad.mul(h_i, Tensor(1.0 - pm)))
+    return ad.blend(h_i, h_j, lam_t, pm.reshape(pm.shape + (1,) * (h_i.ndim - pm.ndim)))
 
 
 def qa_position_mask(strategy: str, segment_labels: np.ndarray,

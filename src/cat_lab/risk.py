@@ -12,7 +12,6 @@ as a differentiated quantity.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -44,18 +43,9 @@ class RiskConfig:
             )
 
 
-def _checked_labels(labels, n_classes: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ValueError(f"label out of range [0, {n_classes})")
-    return labels
-
-
 def cross_entropy_per_sample(logits, labels) -> Tensor:
     """Negative log-likelihood of each sample's label, shape (batch,)."""
-    logits = ad._as_tensor(logits)
-    labels = _checked_labels(labels, logits.shape[-1])
-    return ad.smul(ad.take_last(ad.log_softmax(logits), labels), -1.0)
+    return ad.cross_entropy(logits, labels)
 
 
 def per_sample_loss(outputs, labels) -> Tensor:
@@ -86,17 +76,6 @@ def max_prob(probs) -> Tensor:
     probs = ad._as_tensor(probs)
     _check_rows(probs.data)
     return ad.max_last(probs)
-
-
-def prediction_terms(outputs, labels) -> tuple[Tensor, Tensor]:
-    """(per-sample loss, per-sample confidence) from raw head outputs.
-
-    Confidence is the max predicted probability; for span outputs it is the
-    product of the start and end max-probabilities.
-    """
-    loss = per_sample_loss(outputs, labels)
-    heads = outputs if isinstance(outputs, tuple) else (outputs,)
-    return loss, functools.reduce(ad.mul, (max_prob(ad.softmax(h)) for h in heads))
 
 
 def _confidence(probs) -> np.ndarray:

@@ -310,10 +310,8 @@ class Trainer:
         model = self.model
         tokens = dataset.tokens[idx]
         labels = self._labels(dataset, idx)
-        position_mask = self._position_mask(dataset, idx)
-
         plan = build_mix_plan(idx.size, cfg.candidate_layers, cfg.beta, self.rng,
-                              position_mask=position_mask)
+                              position_mask=self._position_mask(dataset, idx))
         m = int(plan.mix_layers[0])
 
         with Tape():
@@ -328,9 +326,8 @@ class Trainer:
             with frozen_parameters(model):
                 h_i, h_j = Tensor(h_m.data), Tensor(h_m.data[plan.partner])
                 predict = self._make_predict(m, mask)
-                lam = optimize_lambda(plan, h_i, h_j, labels, predict, self.adv_config,
-                                      position_mask).lam
-                cf = predict(interpolate(h_i, h_j, lam, position_mask))
+                lam = optimize_lambda(plan, h_i, h_j, labels, predict, self.adv_config).lam
+                cf = predict(interpolate(h_i, h_j, lam, plan.position_mask))
             cal_param_delta = float(np.abs(model.buffer.flat - before).sum())
 
             weights = importance_weights(self._probs(outputs), self._probs(cf), cfg.risk)

@@ -1,6 +1,7 @@
 """Adversarial coefficient objective and inner ascent loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,3 +207,17 @@ def test_objective_supports_position_mask():
     )
     # same prediction terms; only the |coefficient| penalty differs
     assert obj_masked.item() == pytest.approx(obj_zero.item() - 1.8, abs=1e-12)
+
+
+def test_ascent_blends_where_the_plan_position_mask_says():
+    # a plan whose position mask blends nowhere leaves the prediction terms
+    # flat in the coefficients: each step takes only -|lam|'s step down
+    h_i, _, labels, predict, _, _ = _random_encoder_setup(8)
+    h_j = Tensor(h_i.data[::-1])  # each sample blends with the other
+    cfg = AdversarialConfig(gamma=10.0, eta=20.0, steps=2, step_size=0.1)
+    plan = replace(_plan([0.5, 0.9]), position_mask=np.zeros(h_i.shape[:2], bool))
+    out = optimize_lambda(plan, h_i, h_j, labels, predict, cfg)
+    np.testing.assert_allclose(out.lam, [0.3, 0.7], atol=1e-12)
+    everywhere = optimize_lambda(replace(plan, position_mask=None), h_i, h_j, labels,
+                                 predict, cfg)
+    assert not np.allclose(everywhere.lam, [0.3, 0.7])

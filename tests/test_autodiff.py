@@ -127,6 +127,45 @@ def _identity(t):
     return t
 
 
+# span_head inputs of (2, 3, 4) states: one padded position, and a row
+# padded after its first position; their MASK_FILL outputs are zeroed so a
+# huge constant does not swamp the differences
+SPAN_PAD = np.array([[False, False, True], [False, True, True]])
+
+
+def _span_head_zero_pads(*args):
+    return ad.masked_fill(ad.span_head(*args, SPAN_PAD), SPAN_PAD, 0.0)
+
+
+def _head_draw(rng):
+    return [Tensor(_u(rng, 3, 4)), Tensor(_u(rng, 4)), Tensor(_u(rng, 4)),
+            Tensor(_u(rng, 4, 5, scale=1.0)), Tensor(_u(rng, 5)),
+            Tensor(_u(rng, 5, 3, scale=1.0)), Tensor(_u(rng, 3))]
+
+
+def _span_draw(rng):
+    return [Tensor(_u(rng, 2, 3, 4)), Tensor(_u(rng, 4)), Tensor(_u(rng, 4))] \
+        + [Tensor(_u(rng, *shape)) for shape in ((4, 1), (1,), (4, 1), (1,))]
+
+
+def _blend_draw(rng):
+    return [Tensor(_u(rng, 2, 3, 4)), Tensor(_u(rng, 2, 3, 4)), Tensor(rng.uniform(0, 1, 2))]
+
+
+BLEND_MASK = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])[..., None]
+LABELS = np.array([2, 0, 1])
+PAIR_LABELS = (np.array([0, 2]), np.array([1, 1]))
+
+
+def _objective_draw(rng):
+    # coefficients away from |lam|'s kink at 0
+    return [Tensor(_u(rng, 3, 4)), Tensor(rng.uniform(0.05, 1.0, 3))]
+
+
+def _pair_objective_draw(rng):
+    return [Tensor(_u(rng, 2, 3)), Tensor(_u(rng, 2, 3)), Tensor(rng.uniform(0.05, 1.0, 2))]
+
+
 # name -> factory(rng) -> (build, x): each trial builds only its own case,
 # with constants and input drawn from that trial's generator
 CASES = {
@@ -140,6 +179,20 @@ CASES = {
                    lambda r: [Tensor(_u(r, 2, 3, 4)), Tensor(_u(r, 4)), Tensor(_u(r, 4))],
                    ("x", "gain", "bias")),
     **_attention_cases("attention"),
+    **_input_cases("classifier_head", ad.classifier_head, _head_draw,
+                   ("x", "gain", "bias", "w1", "b1", "w2", "b2")),
+    **_input_cases("span_head", _span_head_zero_pads, _span_draw,
+                   ("x", "gain", "bias", "w_start", "b_start", "w_end", "b_end")),
+    "cross_entropy": _case(lambda x: ad.cross_entropy(x, LABELS), (3, 4)),
+    **_input_cases("blend", ad.blend, _blend_draw, ("x", "y", "lam")),
+    **_input_cases("blend_masked", lambda x, y, lam: ad.blend(x, y, lam, BLEND_MASK),
+                   _blend_draw, ("x", "y", "lam")),
+    **_input_cases("ascent_objective",
+                   lambda h, lam: ad.ascent_objective((h,), (LABELS,), lam, 1.3, 2.1),
+                   _objective_draw, ("logits", "lam")),
+    **_input_cases("ascent_objective_pair",
+                   lambda s, e, lam: ad.ascent_objective((s, e), PAIR_LABELS, lam, 1.3, 2.1),
+                   _pair_objective_draw, ("start", "end", "lam")),
     "add": _case(ad.add, (2, 3), (2, 3)),
     "add_suffix": _case(lambda x, c: ad.add(c, x), (2, 3), (4, 2, 3)),
     "subtract": _case(lambda x, c: ad.sub(c, x), (2, 3), (2, 3)),

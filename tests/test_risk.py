@@ -19,7 +19,6 @@ from cat_lab.risk import (
     importance_weights,
     max_prob,
     per_sample_loss,
-    prediction_terms,
 )
 
 
@@ -227,14 +226,21 @@ def test_detached_weights_block_counterfactual_gradient():
 
 
 def test_span_prediction_terms():
-    # hand-checkable 1-example batch: summed start/end cross-entropies
+    # hand-checkable 1-example batch: the span loss sums the start and end
+    # cross-entropies, and the ascent objective's confidence term multiplies
+    # their max-probabilities
     start_logits = Tensor(np.array([[2.0, 0.0, 0.0]]))
     end_logits = Tensor(np.array([[0.0, 0.0, 1.0]]))
     labels = (np.array([0]), np.array([2]))
-    loss, confidence = prediction_terms((start_logits, end_logits), labels)
     ce_start = -math.log(math.exp(2) / (math.exp(2) + 2))
     ce_end = -math.log(math.exp(1) / (math.exp(1) + 2))
+    loss = per_sample_loss((start_logits, end_logits), labels)
     assert loss.data[0] == pytest.approx(ce_start + ce_end, abs=1e-12)
     phi_start = math.exp(2) / (math.exp(2) + 2)
     phi_end = math.exp(1) / (math.exp(1) + 2)
-    assert confidence.data[0] == pytest.approx(phi_start * phi_end, abs=1e-12)
+    at_zero = Tensor(np.zeros(1))
+    heads = (start_logits, end_logits)
+    only_loss = ad.ascent_objective(heads, labels, at_zero, gamma=1.0, eta=0.0)
+    only_confidence = ad.ascent_objective(heads, labels, at_zero, gamma=0.0, eta=1.0)
+    assert only_loss.item() == pytest.approx(ce_start + ce_end, abs=1e-12)
+    assert only_confidence.item() == pytest.approx(phi_start * phi_end, abs=1e-12)

@@ -311,8 +311,8 @@ def test_parameters_stay_views_of_one_buffer(class_data):
 
 
 def test_erm_step_tape_is_fused(monkeypatch):
-    # chains of small primitives record 205 nodes for this step; the fused
-    # engine must stay at or below half of that (it records 102)
+    # chains of small primitives record 205 nodes for this step, the fused
+    # encoder 102, and the fused head and cross-entropy 97
     tapes = []
 
     class CountingTape(Tape):
@@ -327,7 +327,33 @@ def test_erm_step_tape_is_fused(monkeypatch):
     train_set, _, _ = generate_classification(SCMSpec(seed=1), 16, 4)
     trainer.erm_step(train_set, np.arange(8), phase="erm")
     assert len(tapes) == 1
-    assert tapes[0] <= 205 // 2
+    assert tapes[0] <= 97
+
+
+# tape nodes of one classification-preset step, every tape of it summed, by
+# blend layer: the fused encoder recorded 205 (cat-star) and 319 / 295 (cat)
+CAT_STEP_NODES = {("cat-star", 2): 195, ("cat-star", 3): 195, ("cat", 2): 258, ("cat", 3): 234}
+
+
+@pytest.mark.parametrize("preset, layer", sorted(CAT_STEP_NODES))
+def test_cat_step_tape_is_fused(monkeypatch, preset, layer):
+    # the heads, the cross-entropies, the blend and the ascent objective are
+    # one node each
+    tapes = []
+
+    class CountingTape(Tape):
+        def __exit__(self, *exc):
+            super().__exit__(*exc)
+            tapes.append(len(self))
+
+    monkeypatch.setattr(trainer_module, "Tape", CountingTape)
+    monkeypatch.setattr(adversarial_module, "Tape", CountingTape)
+    config = replace(preset_train_config(preset, "classification"), candidate_layers=(layer,))
+    trainer = seeded_trainer(preset_model_config("classification"), config, "classification")
+    train_set, _, _ = generate_classification(SCMSpec(seed=1), 16, 4)
+    trainer.cat_step(train_set, np.arange(8))
+    assert len(tapes) == 2 + trainer.adv_config.steps  # CRM, ERM and one per ascent step
+    assert sum(tapes) <= CAT_STEP_NODES[preset, layer]
 
 
 @pytest.mark.parametrize("padded", [False, True])
