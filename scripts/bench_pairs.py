@@ -9,7 +9,8 @@ parent's ``BENCHMARK.json``, and appends every result line to a jsonl file.
 ``write`` reads that file and writes, per workload and end-to-end metric,
 both sides' medians and quartiles (``statistics.quantiles(values, n=4)``),
 the number of pairs in which the change read better, worse or the same, and
-each side's failed and attempted checks.  Three flags state each metric's
+each side's failed and attempted checks; a workload without a complete
+pair is written with no seeds and no metrics.  Three flags state each metric's
 verdict by the pairing rules: ``gain`` (the change read better in at least
 9 of 10 pairs, and the medians differ in the better direction by more than
 the parent's quartile distance), ``worse_than_bound`` (the change's median
@@ -102,7 +103,7 @@ def write(args) -> int:
                                                     for s in seeds)}
                             for side in SIDES},
                  "metrics": {}}
-        for m in spec["end_to_end"]:
+        for m in spec["end_to_end"] if seeds else ():
             values = {side: [pairs[s][side]["result"]["metrics"][m["name"]]["value"]
                              for s in seeds] for side in SIDES}
             sign = -1.0 if m["better"] == "lower" else 1.0

@@ -54,7 +54,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "GradientMap",
-    "active_tape",
     "backward",
     "finite_difference_grad",
     "add",
@@ -134,12 +133,6 @@ def _tape_stack() -> list["Tape"]:
     return stack
 
 
-def active_tape() -> "Tape | None":
-    """The innermost open tape of the current thread, if any."""
-    stack = _tape_stack()
-    return stack[-1] if stack else None
-
-
 class Tensor:
     """Dense float64 array plus an optional link into the recording tape."""
 
@@ -164,9 +157,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return detach(self)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -1178,22 +1168,19 @@ class ParameterBuffer:
 
 
 class GradientMap:
-    """Gradients from one backward pass, keyed by tape node id.
+    """Gradients from one backward pass, looked up by leaf Tensor.
 
-    Lookup also accepts the leaf Tensor itself for convenience; a Tensor last
-    recorded on another tape has no gradient here.  The map holds its tape's
-    weak reference, not the tape.
+    A Tensor last recorded on another tape has no gradient here.  The map
+    holds its tape's weak reference, not the tape.
     """
 
     def __init__(self, by_node: dict[int, Tensor], tape_ref: weakref.ref):
         self._by_node = by_node
         self._tape_ref = tape_ref
 
-    def _key(self, key) -> int | None:
-        if isinstance(key, Tensor):
-            node = key.node
-            return node.idx if node is not None and node.tape is self._tape_ref else None
-        return int(key)
+    def _key(self, key: Tensor) -> int | None:
+        node = key.node
+        return node.idx if node is not None and node.tape is self._tape_ref else None
 
     def __getitem__(self, key) -> Tensor:
         k = self._key(key)

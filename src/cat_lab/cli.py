@@ -176,36 +176,41 @@ class GenerationSpec:
             raise ValueError("n_train and n_test must be >= 0")
 
 
+SPAN_LAYOUT = ("query_len", "trigger_token_count", "answer_token_count", "max_answer_len",
+               "typed_answers")
+# the scm fields that each task's generator never reads
+UNREAD_SCM_FIELDS = {
+    CLASSIFICATION: SPAN_LAYOUT,
+    CASE_STUDY: ("confound_strength", "label_noise", *SPAN_LAYOUT),
+    SPAN: ("n_classes", "causal_tokens_per_class", "label_noise"),
+}
+
+
+def _check_fields_read(raw: dict, task: str) -> None:
+    """Refuse a spec field that ``task``'s generator would ignore."""
+    for key in raw.get("scm", {}):
+        if key in UNREAD_SCM_FIELDS[task]:
+            raise ConfigError(f"generation spec: scm.{key} is not read by the {task} task")
+    if "case_study" in raw and task != CASE_STUDY:
+        raise ConfigError(f"generation spec: case_study is not read by the {task} task")
+
+
 def preset_train_config(preset: str, task_kind: str) -> TrainConfig:
     """Calibrated defaults per task family; presets differ only in algorithm."""
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r} (choose from {PRESETS})")
     if task_kind == SPAN:
-        base = TrainConfig(
+        return TrainConfig(
             algorithm=preset,
             warmup_steps=668, max_steps=1336, batch_size=12,
             base_lr=2e-3,
             beta=BetaParams(5.0, 5.0),
             adversarial=AdversarialConfig(steps=1, step_size=5e-2),
-            risk=RiskConfig(lower=0.7, upper=10.0),
+            risk=RiskConfig(lower=0.7),
         )
-    elif task_kind == CASE_STUDY:
-        base = TrainConfig(
-            algorithm=preset,
-            warmup_epochs=2.0, epochs=30.0, batch_size=8,
-            beta=BetaParams(0.3, 0.3),
-            adversarial=AdversarialConfig(steps=3, step_size=2e-2),
-            risk=RiskConfig(lower=0.0, upper=10.0),
-        )
-    else:
-        base = TrainConfig(
-            algorithm=preset,
-            warmup_steps=200, max_steps=400, batch_size=8,
-            beta=BetaParams(0.3, 0.3),
-            adversarial=AdversarialConfig(steps=3, step_size=2e-2),
-            risk=RiskConfig(lower=0.0, upper=10.0),
-        )
-    return base
+    if task_kind == CASE_STUDY:
+        return TrainConfig(algorithm=preset, warmup_epochs=2.0, epochs=30.0)
+    return TrainConfig(algorithm=preset, warmup_steps=200, max_steps=400)
 
 
 def preset_model_config(task_kind: str) -> ModelConfig:
@@ -278,9 +283,10 @@ def _input_file(path: str, what: str) -> Path:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    """Distinct seeds from a count N (seeds 0 to N-1) or a comma-separated list.
+    """Distinct non-negative seeds: a count N (seeds 0 to N-1) or a comma-separated list.
 
-    Two runs of one seed would share a directory.
+    Two runs of one seed would share a directory, and a negative seed fails
+    only when its run starts.
     """
     try:
         seeds = ([int(p) for p in text.split(",") if p.strip()] if "," in text
@@ -291,6 +297,8 @@ def _parse_seeds(text: str) -> list[int]:
     if not seeds:
         raise ConfigError("seeds: the seed list is empty")
     for i, seed in enumerate(seeds):
+        if seed < 0:
+            raise ConfigError(f"seeds: seed {seed} is negative")
         if seed in seeds[:i]:
             raise ConfigError(f"seeds: seed {seed} is repeated")
     return seeds
@@ -341,8 +349,9 @@ def _load_data_dir(data_dir: Path, task: str,
 
 
 def cmd_generate(args) -> int:
-    spec = _build_dataclass(GenerationSpec(), _load_json(Path(args.spec), "generation spec"),
-                            "generation spec")
+    raw = _load_json(Path(args.spec), "generation spec")
+    spec = _build_dataclass(GenerationSpec(), raw, "generation spec")
+    _check_fields_read(raw, spec.task)
     task, n_train, n_test = spec.task, spec.n_train, spec.n_test
     scm = spec.scm if spec.seed is None else replace(spec.scm, seed=spec.seed)
 
@@ -439,10 +448,8 @@ def _train_seed(job: tuple) -> dict:
         history = trainer.train(train_set, eval_sets)
     except DivergenceError as exc:
         write_metrics_csv(exc.history, run_dir / "metrics.csv")
-        if exc.last_good is not None:
-            rescue = EncoderModel(model_config, rng=None)
-            rescue.load_snapshot(exc.last_good)
-            rescue.save(run_dir / "model.npz")
+        trainer.model.load_snapshot(exc.last_good)
+        trainer.model.save(run_dir / "model.npz")
         raise DivergenceError(f"{run_dir}: {exc}") from exc
     wall = time.perf_counter() - started
     # training evaluated every split after its last step; zero steps did not
@@ -690,7 +697,7 @@ def cmd_dump_reprs(args) -> int:
     h_m = model.forward_layers(h0, 0, layer, mask)
     plan = build_mix_plan(limit, [layer], BetaParams(args.alpha, args.beta), rng)
     lam = np.full(limit, args.lam) if args.lam is not None else plan.lam
-    mixed = interpolate(h_m, h_m.detach().data[plan.partner], lam)
+    mixed = interpolate(h_m, h_m.data[plan.partner], lam)
 
     def pooled(states):
         final = model.forward_layers(states, layer, n_layers, mask, query=CLS_POSITION)

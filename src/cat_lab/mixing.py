@@ -56,31 +56,24 @@ def _gamma_at_least_one(shape_param: float, rng: np.random.Generator,
     return out
 
 
-def gamma_sample(shape_param: float, rng: np.random.Generator,
-                 size: int | None = None) -> float | np.ndarray:
+def gamma_sample(shape_param: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Gamma(shape, 1) variates; shapes below 1 use the power-of-uniform boost."""
     if shape_param <= 0:
         raise ValueError(f"gamma shape must be positive, got {shape_param}")
-    n = 1 if size is None else int(size)
     if shape_param < 1.0:
-        g = _gamma_at_least_one(shape_param + 1.0, rng, n)
-        u = rng.random(n)
-        out = g * u ** (1.0 / shape_param)
-    else:
-        out = _gamma_at_least_one(shape_param, rng, n)
-    return float(out[0]) if size is None else out
+        g = _gamma_at_least_one(shape_param + 1.0, rng, size)
+        u = rng.random(size)
+        return g * u ** (1.0 / shape_param)
+    return _gamma_at_least_one(shape_param, rng, size)
 
 
-def sample_beta(params: BetaParams, rng: np.random.Generator,
-                size: int | None = None) -> float | np.ndarray:
+def sample_beta(params: BetaParams, rng: np.random.Generator, size: int) -> np.ndarray:
     """Beta(alpha, beta) draws as X/(X+Y) over two gamma variates."""
-    n = 1 if size is None else int(size)
-    x = gamma_sample(params.alpha, rng, n)
-    y = gamma_sample(params.beta, rng, n)
+    x = gamma_sample(params.alpha, rng, size)
+    y = gamma_sample(params.beta, rng, size)
     total = x + y
     with np.errstate(invalid="ignore"):
-        lam = np.where(total > 0.0, x / np.where(total > 0.0, total, 1.0), 0.5)
-    return float(lam[0]) if size is None else lam
+        return np.where(total > 0.0, x / np.where(total > 0.0, total, 1.0), 0.5)
 
 
 @dataclass
@@ -111,7 +104,7 @@ def build_mix_plan(batch_size: int, candidate_layers, params: BetaParams,
     if layers.size == 0:
         raise ValueError("candidate layer set must be nonempty")
     partner = rng.permutation(batch_size)
-    lam = np.asarray(sample_beta(params, rng, size=batch_size))
+    lam = sample_beta(params, rng, size=batch_size)
     mix_layers = np.full(batch_size, layers[rng.integers(0, layers.size)])
     return MixPlan(partner=partner, lam=lam, mix_layers=mix_layers,
                    position_mask=position_mask)
@@ -140,7 +133,7 @@ def interpolate(h_i, h_j, lam, position_mask: np.ndarray | None = None) -> Tenso
 
 
 def qa_position_mask(strategy: str, segment_labels: np.ndarray,
-                     answer_span: tuple[int, int] | None = None) -> np.ndarray:
+                     answer_span: tuple[int, int]) -> np.ndarray:
     """Which positions to blend for a span-task sample.
 
     ``segment_labels`` marks each position query (0) or context (1); the
@@ -148,18 +141,15 @@ def qa_position_mask(strategy: str, segment_labels: np.ndarray,
     """
     segments = np.asarray(segment_labels)
     is_context = segments == SEG_CONTEXT
-    if answer_span is not None:
-        start, end = int(answer_span[0]), int(answer_span[1])
-        if start > end or start < 0 or end >= segments.size:
-            raise ValueError(f"invalid answer span ({start}, {end})")
-        if not np.all(is_context[start : end + 1]):
-            raise ValueError(f"answer span ({start}, {end}) outside the context segment")
+    start, end = int(answer_span[0]), int(answer_span[1])
+    if start > end or start < 0 or end >= segments.size:
+        raise ValueError(f"invalid answer span ({start}, {end})")
+    if not np.all(is_context[start : end + 1]):
+        raise ValueError(f"answer span ({start}, {end}) outside the context segment")
     if strategy == DIRECT:
         return np.ones(segments.shape, dtype=bool)
     if strategy == NON_ANSWER_CONTEXT:
-        if answer_span is None:
-            raise ValueError("non-answer-context masking needs the answer span")
         mask = is_context.copy()
-        mask[answer_span[0] : answer_span[1] + 1] = False
+        mask[start : end + 1] = False
         return mask
     raise ValueError(f"unknown position strategy {strategy!r}")

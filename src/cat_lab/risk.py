@@ -43,21 +43,16 @@ class RiskConfig:
             )
 
 
-def cross_entropy_per_sample(logits, labels) -> Tensor:
-    """Negative log-likelihood of each sample's label, shape (batch,)."""
-    return ad.cross_entropy(logits, labels)
-
-
 def per_sample_loss(outputs, labels) -> Tensor:
     """Per-sample loss for either task: plain CE, or summed start+end CE."""
     if isinstance(outputs, tuple):
         start_logits, end_logits = outputs
         starts, ends = labels
         return ad.add(
-            cross_entropy_per_sample(start_logits, starts),
-            cross_entropy_per_sample(end_logits, ends),
+            ad.cross_entropy(start_logits, starts),
+            ad.cross_entropy(end_logits, ends),
         )
-    return cross_entropy_per_sample(outputs, labels)
+    return ad.cross_entropy(outputs, labels)
 
 
 def erm_loss(logits, labels) -> Tensor:
@@ -68,14 +63,7 @@ def erm_loss(logits, labels) -> Tensor:
 def _check_rows(probs: np.ndarray) -> None:
     sums = probs.sum(axis=-1)
     if np.any(np.abs(sums - 1.0) > 1e-6):
-        raise ValueError("max_prob: rows must sum to 1 (within 1e-6)")
-
-
-def max_prob(probs) -> Tensor:
-    """Row-wise maximum of a batch of distributions."""
-    probs = ad._as_tensor(probs)
-    _check_rows(probs.data)
-    return ad.max_last(probs)
+        raise ValueError("confidence: probability rows must sum to 1 (within 1e-6)")
 
 
 def _confidence(probs) -> np.ndarray:

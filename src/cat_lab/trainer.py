@@ -95,14 +95,9 @@ def frozen_parameters(model: EncoderModel):
 class DivergenceError(RuntimeError):
     """A loss or a gradient became non-finite.
 
-    ``Trainer.train`` attaches the history so far and the last good
-    parameter snapshot.
+    ``Trainer.train`` attaches the history so far (``history``) and the last
+    good parameter snapshot (``last_good``).
     """
-
-    def __init__(self, message, history=None, last_good=None):
-        super().__init__(message)
-        self.history = history or []
-        self.last_good = last_good
 
 
 @dataclass
@@ -156,7 +151,7 @@ GRAD_CLIP = 1.0  # the trainer's global-norm clip
 
 
 class Adam:
-    """Adaptive-moment optimizer with global-norm clipping over a parameter buffer.
+    """Adaptive-moment optimizer over a parameter buffer, clipped to global norm ``GRAD_CLIP``.
 
     The gradient and the two moments are flat vectors laid out like
     ``params.flat``; a step copies each parameter's gradient into its view of
@@ -168,9 +163,8 @@ class Adam:
     or moment changes.
     """
 
-    def __init__(self, params: ParameterBuffer, grad_clip: float | None = None):
+    def __init__(self, params: ParameterBuffer):
         self.params = params
-        self.grad_clip = grad_clip
         self.t = 0
         self._m = np.zeros_like(params.flat)
         self._v = np.zeros_like(params.flat)
@@ -190,8 +184,8 @@ class Adam:
         if not np.isfinite(norm):
             raise DivergenceError(f"gradient norm is {norm} at update {self.t + 1}")
         self.t += 1
-        if self.grad_clip is not None and norm > self.grad_clip:
-            flat *= self.grad_clip / norm
+        if norm > GRAD_CLIP:
+            flat *= GRAD_CLIP / norm
         m, v = self._m, self._v
         m *= ADAM_BETA1
         m += (1 - ADAM_BETA1) * flat
@@ -221,7 +215,7 @@ class Trainer:
         self.config = config
         self.task = task
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
-        self.adam = Adam(model.buffer, grad_clip=GRAD_CLIP)
+        self.adam = Adam(model.buffer)
         # the no-inner-steps ablation reuses the full pipeline with zero ascent
         self.adv_config = (replace(config.adversarial, steps=0)
                            if config.algorithm == CAT_STAR else config.adversarial)

@@ -89,7 +89,7 @@ def _random_encoder_setup(seed, batch=2, seq=4):
     h0, mask = model.embed(tokens)
     m = 1
     h_m = model.forward_layers(h0, 0, m, mask)
-    h_i = h_m.detach()
+    h_i = ad.detach(h_m)
     h_j = Tensor(h_i.data[rng.permutation(batch)])
     labels = rng.integers(0, cfg.n_classes, size=batch)
 

@@ -66,3 +66,19 @@ def verdicts(tmp_path):
 ])
 def test_write_flags_gain_regression_and_noise(verdicts, name, expected):
     assert verdicts[name] == expected
+
+
+def test_write_keeps_a_workload_with_no_complete_pair(tmp_path):
+    # one pair of workload "w", and only the parent side of "v" (a run cut short)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]]
+    result = {"metrics": {name: {"value": 1.0} for name in names}, "failed": 0, "attempted": 1}
+    lines = [{"workload": w, "seed": 0, "side": side, "first": "parent", "result": result}
+             for w, sides in (("w", ("parent", "change")), ("v", ("parent",)))
+             for side in sides]
+    pairs, out = tmp_path / "pairs.jsonl", tmp_path / "bench.json"
+    pairs.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    assert load_bench_pairs().main(["write", str(pairs), "--out", str(out)]) == 0
+    workloads = json.loads(out.read_text())["workloads"]
+    assert set(workloads["w"]["metrics"]) == set(names)
+    assert workloads["v"]["seeds"] == [] and workloads["v"]["metrics"] == {}

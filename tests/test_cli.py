@@ -96,14 +96,13 @@ def test_generate_malformed_spec_reports_line(tmp_path, capsys):
 
 
 def test_generate_case_study_and_span(tmp_path):
-    for task, files in (
-        ("case_study", {"train.jsonl", "test.jsonl", "manifest.json"}),
-        ("span", {"train.jsonl", "test_iid.jsonl", "test_ood.jsonl",
-                  "manifest.json"}),
+    for task, scm, files in (
+        ("case_study", {"seq_len": 16, "causal_tokens_per_class": 4},
+         {"train.jsonl", "test.jsonl", "manifest.json"}),
+        ("span", {"seq_len": 16, "query_len": 4},
+         {"train.jsonl", "test_iid.jsonl", "test_ood.jsonl", "manifest.json"}),
     ):
-        spec = write_spec(tmp_path / f"{task}.json", task=task,
-                          scm={"seq_len": 16, "query_len": 4,
-                               "causal_tokens_per_class": 4},
+        spec = write_spec(tmp_path / f"{task}.json", task=task, scm=scm,
                           n_train=30, n_test=12)
         out = tmp_path / task
         assert main(["generate", "--spec", str(spec), "--out", str(out)]) == EXIT_OK
@@ -144,6 +143,7 @@ def test_train_metrics_csv_byte_identical_across_runs(dataset_dir, tmp_path):
     (["--seeds", "2,5,2"], "seed 2 is repeated"),
     (["--seeds", "3,x"], "seeds: expected a count or a comma-separated list of integers"),
     (["--seeds", "two"], "seeds: expected a count or a comma-separated list of integers"),
+    (["--seeds", "0,-1"], "seeds: seed -1 is negative"),
 ])
 def test_train_rejects_repeated_or_non_integer_seeds(dataset_dir, tmp_path, capsys,
                                                      seeds, repeated):
@@ -562,6 +562,7 @@ def test_compare_one_arm_reduces_to_train(dataset_dir, tmp_path):
      "b.train.max_steps: expected integer or null, got [3, 4]"),
     (["--arm", "a=cat", "--arm", "b=cat", "--set", "b.model.d_model=7"],
      "b.model: d_model 7 not divisible by n_heads 2"),
+    (["--arm", "a=cat", "--arm", "b=erm", "--seeds", "0,-1"], "seeds: seed -1 is negative"),
 ])
 def test_compare_rejects_malformed_input_before_any_run(dataset_dir, tmp_path, capsys,
                                                         args, message):
@@ -842,6 +843,24 @@ def test_too_deep_or_undecodable_spec_is_config_error(tmp_path, capsys, text):
     ({"n_train": "5"}, "n_train"),
     ({"scm": {"vocab_size": True}}, "scm.vocab_size"),
     ({"task": "case_study", "case_study": {"train_proportions": 0.5}}, "train_proportions"),
+    # a field that the task's generator never reads
+    ({"scm": {"query_len": 4}}, "scm.query_len is not read by the classification task"),
+    ({"scm": {"typed_answers": False}},
+     "scm.typed_answers is not read by the classification task"),
+    ({"case_study": {"phrase_token": 60}},
+     "case_study is not read by the classification task"),
+    ({"task": "case_study", "scm": {"confound_strength": 0.1}},
+     "scm.confound_strength is not read by the case_study task"),
+    ({"task": "case_study", "scm": {"label_noise": 0.5}},
+     "scm.label_noise is not read by the case_study task"),
+    ({"task": "case_study", "scm": {"max_answer_len": 2}},
+     "scm.max_answer_len is not read by the case_study task"),
+    ({"task": "span", "scm": {"label_noise": 0.5}},
+     "scm.label_noise is not read by the span task"),
+    ({"task": "span", "scm": {"n_classes": 9}}, "scm.n_classes is not read by the span task"),
+    ({"task": "span", "scm": {"causal_tokens_per_class": 1}},
+     "scm.causal_tokens_per_class is not read by the span task"),
+    ({"task": "span", "case_study": {}}, "case_study is not read by the span task"),
 ])
 def test_malformed_spec_is_config_error(tmp_path, capsys, spec, field):
     path = tmp_path / "spec.json"

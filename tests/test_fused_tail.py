@@ -19,7 +19,7 @@ from cat_lab.adversarial import AdversarialConfig, adversarial_objective
 from cat_lab.autodiff import MASK_FILL, Tape, Tensor, backward
 from cat_lab.cli import preset_model_config, preset_train_config
 from cat_lab.encoder import EncoderModel
-from cat_lab.risk import crm_loss, erm_loss, max_prob
+from cat_lab.risk import crm_loss, erm_loss
 from cat_lab.trainer import forward_to_head
 
 # -- the chains ------------------------------------------------------------------
@@ -56,7 +56,7 @@ def chain_blend(x, y, lam, mask=None):
 def chain_objective(heads, labels, lam, gamma, eta):
     losses = [chain_cross_entropy(h, y) for h, y in zip(heads, labels)]
     loss = functools.reduce(ad.add, losses)
-    confidence = functools.reduce(ad.mul, (max_prob(ad.softmax(h)) for h in heads))
+    confidence = functools.reduce(ad.mul, (ad.max_last(ad.softmax(h)) for h in heads))
     per_sample = ad.add(ad.smul(ad.absolute(lam), -1.0),
                         ad.add(ad.smul(loss, gamma), ad.smul(confidence, eta)))
     return ad.reduce_sum(per_sample)

@@ -85,13 +85,6 @@ def test_beta_point_three_is_bimodal():
     assert tail_mass > 0.5
 
 
-def test_sample_beta_scalar_in_unit_interval():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        lam = sample_beta(BetaParams(0.3, 0.3), rng)
-        assert 0.0 <= lam <= 1.0
-
-
 def test_build_mix_plan_singleton_batch_forces_self_pairing():
     rng = np.random.default_rng(0)
     plan = build_mix_plan(1, [2], BetaParams(), rng)

@@ -13,11 +13,9 @@ from cat_lab.risk import (
     RiskConfig,
     bound_weights,
     crm_loss,
-    cross_entropy_per_sample,
     erm_loss,
     importance_ratio,
     importance_weights,
-    max_prob,
     per_sample_loss,
 )
 
@@ -52,18 +50,20 @@ def test_erm_is_mean_of_per_sample_losses():
 
 def test_labels_out_of_range_fail():
     with pytest.raises(ValueError, match="label out of range"):
-        cross_entropy_per_sample(Tensor(np.zeros((2, 3))), np.array([0, 3]))
+        ad.cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
 
 
-def test_max_prob_examples():
-    assert max_prob(Tensor([[0.1, 0.7, 0.2]])).data[0] == 0.7
-    assert max_prob(Tensor([[0.25, 0.25, 0.25, 0.25]])).data[0] == 0.25
-    assert max_prob(Tensor([[0.0, 1.0, 0.0]])).data[0] == 1.0
+def test_max_last_examples():
+    assert ad.max_last(Tensor([[0.1, 0.7, 0.2]])).data[0] == 0.7
+    assert ad.max_last(Tensor([[0.25, 0.25, 0.25, 0.25]])).data[0] == 0.25
+    assert ad.max_last(Tensor([[0.0, 1.0, 0.0]])).data[0] == 1.0
 
 
-def test_max_prob_validates_rows():
+@pytest.mark.parametrize("side", ["original", "counterfactual"])
+def test_importance_ratio_validates_rows(side):
+    good, bad = np.array([[0.5, 0.5]]), np.array([[0.5, 0.2]])
     with pytest.raises(ValueError, match="sum to 1"):
-        max_prob(Tensor([[0.5, 0.2]]))
+        importance_ratio(*((bad, good) if side == "original" else (good, bad)))
 
 
 def test_importance_ratio_arithmetic():
@@ -217,7 +217,7 @@ def test_detached_weights_block_counterfactual_gradient():
     cf_logits = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     with Tape():
         weights = importance_weights(
-            ad.softmax(logits_orig.detach()).data, ad.softmax(cf_logits).data,
+            ad.softmax(ad.detach(logits_orig)).data, ad.softmax(cf_logits).data,
             RiskConfig(),
         )
         grads = backward(crm_loss(logits_orig, labels, weights))

@@ -19,7 +19,9 @@ from cat_lab.datagen import SCMSpec, generate_classification, generate_span_task
 from cat_lab.encoder import EncoderModel, ModelConfig
 from cat_lab.risk import RiskConfig, erm_loss
 from cat_lab.trainer import (
+    ADAM_BETA1,
     COMBINED,
+    GRAD_CLIP,
     Adam,
     DivergenceError,
     TrainConfig,
@@ -226,45 +228,47 @@ def test_span_task_requires_span_head(class_data):
         make_trainer(small_config(), task="span")
 
 
+class ConstantGrads:
+    """Every parameter's gradient is ``value``."""
+
+    def __init__(self, value):
+        self.value = Tensor(np.array(value))
+
+    def get(self, key):
+        return self.value
+
+
 def test_adam_single_step_matches_hand_computation():
     params = ParameterBuffer({"p": np.array([1.0, -2.0])})
     p = params.tensors["p"]
-    adam = Adam(params, grad_clip=None)
-
-    class FakeGrads:
-        def get(self, key):
-            return Tensor(np.array([0.5, -1.5]))
-
-    adam.step(FakeGrads(), lr=0.1)
-    g = np.array([0.5, -1.5])
+    adam = Adam(params)
+    g = np.array([0.3, -0.4])
+    assert np.linalg.norm(g) < GRAD_CLIP
+    adam.step(ConstantGrads(g), lr=0.1)
     m_hat = (0.1 * g) / 0.1
     v_hat = (0.001 * g * g) / 0.001
     expected = np.array([1.0, -2.0]) - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
     np.testing.assert_allclose(p.data, expected, atol=1e-12)
 
 
-def test_adam_grad_clip_rescales():
-    updates = {}
-    for clip in (None, 1e-3):
-        params = ParameterBuffer({"p": np.array([1.0])})
-        p = params.tensors["p"]
-        adam = Adam(params, grad_clip=clip)
-
-        class FakeGrads:
-            def get(self, key):
-                return Tensor(np.array([100.0]))
-
-        adam.step(FakeGrads(), lr=0.1)
-        updates[clip] = abs(1.0 - p.data[0])
-    assert updates[1e-3] < updates[None]
+@pytest.mark.parametrize("g, clipped", [
+    ([0.3, -0.4], [0.3, -0.4]),                          # norm 0.5: kept
+    ([30.0, -40.0], [0.6 * GRAD_CLIP, -0.8 * GRAD_CLIP]),  # norm 50: rescaled
+])
+def test_adam_clips_the_gradient_norm_to_grad_clip(g, clipped):
+    params = ParameterBuffer({"p": np.zeros(2)})
+    adam = Adam(params)
+    adam.step(ConstantGrads(g), lr=0.1)
+    # the first moment after one step is (1 - beta1) times the clipped gradient
+    np.testing.assert_allclose(adam._m / (1 - ADAM_BETA1), clipped, rtol=1e-12)
 
 
-@pytest.mark.parametrize("clip", [None, 1.0])
-def test_adam_refuses_non_finite_gradient(clip):
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adam_refuses_non_finite_gradient(bad):
     params = ParameterBuffer({"p": np.array([1.0, -2.0]), "q": np.array([3.0])})
     p, q = params.tensors["p"], params.tensors["q"]
-    adam = Adam(params, grad_clip=clip)
-    grads = {id(p): Tensor(np.array([0.5, np.nan])), id(q): Tensor(np.array([1.0]))}
+    adam = Adam(params)
+    grads = {id(p): Tensor(np.array([0.5, bad])), id(q): Tensor(np.array([1.0]))}
 
     class FakeGrads:
         def get(self, key):
