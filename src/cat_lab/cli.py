@@ -45,6 +45,7 @@ from cat_lab.encoder import CLS_POSITION, EncoderModel, ModelConfig
 from cat_lab.mixing import BetaParams, build_mix_plan, interpolate
 from cat_lab.risk import RiskConfig
 from cat_lab.trainer import (
+    CAT_STAR,
     DivergenceError,
     TrainConfig,
     check_answer_lengths,
@@ -223,13 +224,18 @@ def resolve_arm(config: dict, task_kind: str,
                 where: str = "") -> tuple[ModelConfig, TrainConfig]:
     """A run config's (model, train) configs: its preset's, with its overrides applied.
 
-    Seeds come only from ``--seeds``, so no override may set ``train.seed``.
+    Seeds come only from ``--seeds``, so no override may set ``train.seed``;
+    a cat-star run takes no ascent step, so none may set its step count.
     """
     train = config.get("train", {})
     if isinstance(train, dict) and "seed" in train:
         raise ConfigError(f"{where}train.seed: runs take their seeds from --seeds")
     train_config = _build_dataclass(preset_train_config(config.get("preset", "cat"), task_kind),
                                     train, where + "train")
+    if train_config.algorithm == CAT_STAR and train.get("adversarial", {}).get("steps"):
+        raise ConfigError(f"{where}train.adversarial.steps: a cat-star run takes no ascent "
+                          f"step; in compare, prefix the setting with the arms it is for "
+                          f"(--set ARM.train.adversarial.steps=N)")
     model_config = _build_dataclass(preset_model_config(task_kind),
                                     config.get("model", {}), where + "model")
     return model_config, train_config
@@ -272,6 +278,26 @@ def _apply_dotted(config_dict: dict, dotted: str, raw_value: str) -> None:
         if not isinstance(node, dict):
             raise ConfigError(f"--set {dotted}: {part} is not an object")
     node[leaf] = _merge(node.get(leaf), value)
+
+
+def _output_dir(path: str | Path) -> Path:
+    """``path`` as a directory, made if missing; a ConfigError naming it if it cannot be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output dir {out}: {exc}") from exc
+    return out
+
+
+def _write_output(path: str, text: str) -> Path:
+    """Write ``text`` to ``path``; a ConfigError naming it if it cannot be written."""
+    out = Path(path)
+    try:
+        out.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
+    return out
 
 
 def _input_file(path: str, what: str) -> Path:
@@ -321,8 +347,8 @@ def _parse_set(assignment: str, arms=()) -> tuple[str | None, str, str]:
 
 
 def _load_data_dir(data_dir: Path, task: str,
-                   n_classes: int) -> tuple[Dataset, dict[str, Dataset]]:
-    """Every split under ``data_dir``, checked against the task and the model."""
+                   models: list[ModelConfig]) -> tuple[Dataset, dict[str, Dataset]]:
+    """Every split under ``data_dir``, checked against the task and every model."""
     train_path = data_dir / "train.jsonl"
     if not train_path.exists():
         raise ConfigError(f"no train.jsonl under {data_dir}")
@@ -330,14 +356,23 @@ def _load_data_dir(data_dir: Path, task: str,
     for path in sorted(data_dir.glob("test*.jsonl")):
         name = path.stem.removeprefix("test").lstrip("_") or "test"
         loaded.append((name, path, load_jsonl(path)))
+    n_classes = min(m.n_classes for m in models)
+    max_seq_len = min(m.max_seq_len for m in models)
+    vocab_size = min(m.vocab_size for m in models)
     for name, path, split in loaded:
         if split.task != task:
             raise DatasetFormatError(
                 f"{data_dir}: the {name} split holds {split.task} records, "
                 f"but the task is {task}")
-        if task == CLASSIFICATION and len(split) and split.labels.max() >= n_classes:
+        if task == CLASSIFICATION and split.labels.max() >= n_classes:
             raise ConfigError(f"{path}: label {split.labels.max()} is out of range "
                               f"[0, {n_classes}) for the model")
+        if split.tokens.shape[1] > max_seq_len:
+            raise ConfigError(f"{path}: sequence length {split.tokens.shape[1]} exceeds "
+                              f"the model's max_seq_len {max_seq_len}")
+        if split.tokens.max() >= vocab_size:
+            raise ConfigError(f"{path}: token id {split.tokens.max()} is out of range "
+                              f"[0, {vocab_size}) for the model")
         if task == SPAN and path != train_path:
             check_answer_lengths(split, str(path))
     return loaded[0][2], {name: split for name, _, split in loaded[1:]}
@@ -355,11 +390,7 @@ def cmd_generate(args) -> int:
     task, n_train, n_test = spec.task, spec.n_train, spec.n_test
     scm = spec.scm if spec.seed is None else replace(spec.scm, seed=spec.seed)
 
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output dir {out}: {exc}") from exc
+    out = _output_dir(args.out)
 
     extras: dict = {}
     if task == CLASSIFICATION:
@@ -447,8 +478,8 @@ def _train_seed(job: tuple) -> dict:
     try:
         history = trainer.train(train_set, eval_sets)
     except DivergenceError as exc:
-        write_metrics_csv(exc.history, run_dir / "metrics.csv")
-        trainer.model.load_snapshot(exc.last_good)
+        write_metrics_csv(trainer.history, run_dir / "metrics.csv")
+        trainer.model.load_snapshot(trainer.last_good)
         trainer.model.save(run_dir / "model.npz")
         raise DivergenceError(f"{run_dir}: {exc}") from exc
     wall = time.perf_counter() - started
@@ -517,9 +548,8 @@ def run_training(args) -> dict:
     model_config, base_train = resolve_arm(config, task_kind)
     seeds = _parse_seeds(args.seeds)
 
-    train_set, eval_sets = _load_data_dir(data_dir, task, model_config.n_classes)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    train_set, eval_sets = _load_data_dir(data_dir, task, [model_config])
+    out = _output_dir(args.out)
 
     per_seed = dict(zip(seeds, run_seeds(_train_seed, _seed_jobs(
         model_config, base_train, seeds, task, train_set, eval_sets, out))))
@@ -602,6 +632,7 @@ def compare_arms(arms: dict, seeds: list[int] | range, task: str, train_set: Dat
             print(f"warning: arm {name} trains past one epoch; later epochs draw their batch "
                   f"order from the trainer's shared generator, so they are not paired "
                   f"across arms", file=sys.stderr)
+    _output_dir(out)
     jobs = [job for name, (model_config, train_config) in arms.items()
             for job in _seed_jobs(model_config, train_config, seeds, task, train_set,
                                   eval_sets, out / name)]
@@ -640,8 +671,7 @@ def cmd_compare(args) -> int:
     arms = {name: resolve_arm(config, task_kind, f"{name}.")
             for name, config in _parse_arms(args.arm, args.set or []).items()}
     seeds = _parse_seeds(args.seeds)
-    train_set, eval_sets = _load_data_dir(data_dir, task,
-                                          min(m.n_classes for m, _ in arms.values()))
+    train_set, eval_sets = _load_data_dir(data_dir, task, [m for m, _ in arms.values()])
     out = Path(args.out)
     results = compare_arms(arms, seeds, task, train_set, eval_sets, out)
     write_summary_json({"data": str(data_dir), "task": task_kind, "seeds": seeds,
@@ -668,7 +698,7 @@ def cmd_eval(args) -> int:
     report = evaluate(model, dataset, dataset.task)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        _write_output(args.out, text + "\n")
     print(text)
     return EXIT_OK
 
@@ -711,17 +741,11 @@ def cmd_dump_reprs(args) -> int:
             return f"{subset.spans[i, 0]}-{subset.spans[i, 1]}"
         return str(int(subset.labels[i]))
 
-    out = Path(args.out)
-    with open(out, "w", encoding="utf-8") as fh:
-        dim = originals.shape[1]
-        header = ["id", "flag", "label"] + [f"v{j}" for j in range(dim)]
-        fh.write(",".join(header) + "\n")
-        for flag, block in (("original", originals),
-                            ("counterfactual", counterfactuals)):
-            for i in range(limit):
-                row = [str(i), flag, label_text(i)]
-                row += [repr(float(x)) for x in block[i]]
-                fh.write(",".join(row) + "\n")
+    rows = [["id", "flag", "label"] + [f"v{j}" for j in range(originals.shape[1])]]
+    for flag, block in (("original", originals), ("counterfactual", counterfactuals)):
+        for i in range(limit):
+            rows.append([str(i), flag, label_text(i)] + [repr(float(x)) for x in block[i]])
+    out = _write_output(args.out, "".join(",".join(row) + "\n" for row in rows))
     print(f"wrote {2 * limit} rows to {out}")
     return EXIT_OK
 

@@ -60,17 +60,17 @@ METRIC_COLUMNS = (
 )
 
 
-def forward_to_head(model: EncoderModel, task: str, h: Tensor, from_layer: int,
-                    mask) -> Tensor:
-    """Layers from_layer+1 .. L, as far as ``task``'s head reads them.
+def head_outputs(model: EncoderModel, task: str, h: Tensor, from_layer: int, mask):
+    """Layers from_layer+1 .. L, then ``task``'s head: span or class logits.
 
     The classification head reads ``CLS_POSITION`` only, so its last layer
     computes that position alone; the span head reads every position.
     """
     n_layers = model.config.n_layers
     if task == SPAN:
-        return model.forward_layers(h, from_layer, n_layers, mask)
-    return model.forward_layers(h, from_layer, n_layers, mask, query=CLS_POSITION)
+        return model.span_logits(model.forward_layers(h, from_layer, n_layers, mask), mask)
+    h_last = model.forward_layers(h, from_layer, n_layers, mask, query=CLS_POSITION)
+    return model.classify(h_last, mask)
 
 
 @contextmanager
@@ -95,8 +95,8 @@ def frozen_parameters(model: EncoderModel):
 class DivergenceError(RuntimeError):
     """A loss or a gradient became non-finite.
 
-    ``Trainer.train`` attaches the history so far (``history``) and the last
-    good parameter snapshot (``last_good``).
+    The trainer keeps the history so far (``Trainer.history``) and the last
+    good parameter snapshot (``Trainer.last_good``).
     """
 
 
@@ -122,12 +122,18 @@ class TrainConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if self.algorithm == CAT_STAR:
+            # the no-inner-steps ablation: the full pipeline with zero ascent
+            self.adversarial = replace(self.adversarial, steps=0)
         if self.update_mode not in (SEQUENTIAL, COMBINED):
             raise ValueError(f"unknown update mode {self.update_mode!r}")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.lr_warmup_steps < 0:
-            raise ValueError("lr_warmup_steps must be >= 0")
+        for name in ("base_lr", "warmup_steps", "warmup_epochs", "lr_warmup_steps",
+                     "eval_interval"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0")
         if not self.candidate_layers:
             raise ValueError("candidate layer set must be nonempty")
         if self.span_mix_strategy not in POSITION_STRATEGIES:
@@ -216,11 +222,9 @@ class Trainer:
         self.task = task
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
         self.adam = Adam(model.buffer)
-        # the no-inner-steps ablation reuses the full pipeline with zero ascent
-        self.adv_config = (replace(config.adversarial, steps=0)
-                           if config.algorithm == CAT_STAR else config.adversarial)
         self.step_count = 0
         self.history: list[dict] = []
+        self.last_good: dict[str, np.ndarray] | None = None  # after the last completed step
         self.last_eval: dict[str, dict] | None = None  # reports of the latest evaluation
         self._epoch_order: np.ndarray | None = None
         self._cursor = 0
@@ -243,11 +247,6 @@ class Trainer:
             return dataset.spans[idx, 0], dataset.spans[idx, 1]
         return dataset.labels[idx]
 
-    def _head(self, h_last: Tensor, mask):
-        if self.task == SPAN:
-            return self.model.span_logits(h_last, mask)
-        return self.model.classify(h_last, mask)
-
     def _probs(self, outputs):
         """Softmax of each head's logits as plain arrays: the weights are constants."""
         if self.task == SPAN:
@@ -264,12 +263,6 @@ class Trainer:
         ]
         return np.stack(rows)
 
-    def _make_predict(self, m: int, mask):
-        def predict(mixed):
-            return self._head(forward_to_head(self.model, self.task, mixed, m, mask), mask)
-
-        return predict
-
     # -- steps ----------------------------------------------------------------
 
     def _lr(self) -> float:
@@ -285,8 +278,7 @@ class Trainer:
         """Forward, empirical loss, backward and one Adam update; the loss."""
         with Tape():
             h0, mask = self.model.embed(tokens)
-            h = forward_to_head(self.model, self.task, h0, 0, mask)
-            loss = erm_loss(self._head(h, mask), labels)
+            loss = erm_loss(head_outputs(self.model, self.task, h0, 0, mask), labels)
             grads = backward(loss)
         value = self._check_finite("erm loss", loss.item())
         self.adam.step(grads, self._lr())
@@ -312,15 +304,18 @@ class Trainer:
             # original forward, keeping the states at the blend layer
             h0, mask = model.embed(tokens)
             h_m = model.forward_layers(h0, 0, m, mask)
-            outputs = self._head(forward_to_head(model, self.task, h_m, m, mask), mask)
+            outputs = head_outputs(model, self.task, h_m, m, mask)
 
             # counterfactual side on detached states: records nothing, and the
             # parameters must not move; sample i blends with sample partner[i]
             before = model.buffer.flat.copy()
             with frozen_parameters(model):
                 h_i, h_j = Tensor(h_m.data), Tensor(h_m.data[plan.partner])
-                predict = self._make_predict(m, mask)
-                lam = optimize_lambda(plan, h_i, h_j, labels, predict, self.adv_config).lam
+
+                def predict(mixed):
+                    return head_outputs(model, self.task, mixed, m, mask)
+
+                lam = optimize_lambda(plan, h_i, h_j, labels, predict, cfg.adversarial).lam
                 cf = predict(interpolate(h_i, h_j, lam, plan.position_mask))
             cal_param_delta = float(np.abs(model.buffer.flat - before).sum())
 
@@ -357,20 +352,16 @@ class Trainer:
         cfg = self.config
         warmup, total = resolve_schedule(cfg, len(train_set))
         eval_sets = eval_sets or {}
-        last_good = self.model.snapshot()
+        self.last_good = self.model.snapshot()
         while self.step_count < total:
             idx = self.next_batch_indices(len(train_set))
-            try:
-                if cfg.algorithm == ERM:
-                    row = self.erm_step(train_set, idx, phase="erm")
-                elif self.step_count < warmup:
-                    row = self.erm_step(train_set, idx, phase="warmup")
-                else:
-                    row = self.cat_step(train_set, idx)
-            except DivergenceError as exc:
-                exc.history, exc.last_good = self.history, last_good
-                raise
-            last_good = self.model.snapshot()
+            if cfg.algorithm == ERM:
+                row = self.erm_step(train_set, idx, phase="erm")
+            elif self.step_count < warmup:
+                row = self.erm_step(train_set, idx, phase="warmup")
+            else:
+                row = self.cat_step(train_set, idx)
+            self.last_good = self.model.snapshot()
             should_eval = (cfg.eval_interval > 0
                            and self.step_count % cfg.eval_interval == 0)
             if should_eval or self.step_count == total:
@@ -466,12 +457,11 @@ def evaluate(model: EncoderModel, dataset: Dataset, task: str,
         idx = np.arange(lo, min(lo + batch_size, n))
         tokens = dataset.tokens[idx]
         h0, mask = model.embed(tokens)
-        h = forward_to_head(model, task, h0, 0, mask)
+        outputs = head_outputs(model, task, h0, 0, mask)
         if task == CLASSIFICATION:
-            logits = model.classify(h, mask).data
-            correct += float(np.sum(logits.argmax(axis=1) == dataset.labels[idx]))
+            correct += float(np.sum(outputs.data.argmax(axis=1) == dataset.labels[idx]))
         else:
-            start, end = model.span_logits(h, mask)
+            start, end = outputs
             segments = None if dataset.segments is None else dataset.segments[idx]
             predicted = _decode_spans(start.data, end.data, segments, MAX_ANSWER_LEN)
             gold = dataset.spans[idx]

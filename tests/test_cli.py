@@ -336,6 +336,92 @@ def test_train_label_out_of_range_fails_before_output(dataset_dir, tmp_path, cap
     assert not out.exists()
 
 
+def _set_tokens(path, length, token=None):
+    """Rewrite a split's records to ``length`` tokens, the last one ``token`` if given."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for record in records:
+        record["tokens"] = (record["tokens"] * length)[:length]
+        if token is not None:
+            record["tokens"][-1] = token
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+@pytest.mark.parametrize("split, length, token, seeds, assignment, message", [
+    ("train", 16, None, "1", "model.max_seq_len=8",
+     "train.jsonl: sequence length 16 exceeds the model's max_seq_len 8"),
+    ("test_ood", 20, None, "1", "model.max_seq_len=16",
+     "test_ood.jsonl: sequence length 20 exceeds the model's max_seq_len 16"),
+    ("train", 16, None, "2", "model.vocab_size=16",
+     "train.jsonl: token id"),
+    ("test_iid", 16, 64, "2", "model.vocab_size=64",
+     "test_iid.jsonl: token id 64 is out of range [0, 64)"),
+])
+def test_train_data_that_does_not_fit_the_model_fails_before_output(
+        dataset_dir, tmp_path, capsys, split, length, token, seeds, assignment, message):
+    _set_tokens(dataset_dir / f"{split}.jsonl", length, token)
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(dataset_dir), "--preset", "cat", "--seeds", seeds,
+                 "--out", str(out), *FAST_OVERRIDES, "--set", assignment])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _no_runs(monkeypatch):
+    def run_seeds(fn, jobs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cat_lab.cli, "run_seeds", run_seeds)
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_unwritable_output_dir_exits_2_before_training(dataset_dir, tmp_path, capsys,
+                                                       monkeypatch, command):
+    _no_runs(monkeypatch)
+    out = tmp_path / "a_file"
+    out.write_text("kept\n")
+    args = (["train", "--preset", "cat"] if command == "train"
+            else ["compare", "--arm", "a=cat", "--arm", "b=erm"])
+    code = main([*args, "--data", str(dataset_dir), "--out", str(out), *FAST_OVERRIDES])
+    assert code == EXIT_CONFIG
+    assert f"cannot create output dir {out}" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "dump-reprs"])
+def test_unwritable_output_file_exits_2_naming_it(dataset_dir, tmp_path, capsys, command):
+    checkpoint = tmp_path / "model.npz"
+    EncoderModel(ModelConfig(), np.random.default_rng(0)).save(checkpoint)
+    out = tmp_path / "nodir" / "out.txt"
+    extra = ["--layer", "1"] if command == "dump-reprs" else []
+    code = main([command, "--checkpoint", str(checkpoint),
+                 "--data", str(dataset_dir / "test_iid.jsonl"), *extra, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert f"cannot write {out}" in capsys.readouterr().err
+
+
+def test_cat_star_refuses_an_ascent_step_count(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(dataset_dir), "--preset", "cat-star", "--out", str(out),
+                 *FAST_OVERRIDES, "--set", "train.adversarial.steps=5"])
+    assert code == EXIT_CONFIG
+    assert "train.adversarial.steps: a cat-star run takes no ascent step" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cat_star_run_records_zero_ascent_steps(dataset_dir, tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(dataset_dir), "--preset", "cat-star", "--out", str(out),
+                 *FAST_OVERRIDES, "--set", "train.adversarial.steps=0"]) == EXIT_OK
+    summary = json.loads((out / "seed_0" / "summary.json").read_text())
+    assert summary["train_config"]["adversarial"]["steps"] == 0
+    # an arm prefix keeps the count to the arms that ascend
+    arms = cat_lab.cli._parse_arms(["a=cat", "s=cat-star"], ["a.train.adversarial.steps=5"])
+    assert cat_lab.cli.resolve_arm(arms["a"], "classification")[1].adversarial.steps == 5
+    assert cat_lab.cli.resolve_arm(arms["s"], "classification")[1].adversarial.steps == 0
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 def test_train_divergence_keeps_completed_steps_and_finite_rescue(tmp_path, capsys):
     data = tmp_path / "data"
@@ -563,6 +649,10 @@ def test_compare_one_arm_reduces_to_train(dataset_dir, tmp_path):
     (["--arm", "a=cat", "--arm", "b=cat", "--set", "b.model.d_model=7"],
      "b.model: d_model 7 not divisible by n_heads 2"),
     (["--arm", "a=cat", "--arm", "b=erm", "--seeds", "0,-1"], "seeds: seed -1 is negative"),
+    (["--arm", "a=cat", "--arm", "s=cat-star", "--set", "train.adversarial.steps=5"],
+     "s.train.adversarial.steps: a cat-star run takes no ascent step; in compare, prefix"),
+    (["--arm", "a=cat", "--arm", "b=erm", "--set", "b.model.max_seq_len=8"],
+     "train.jsonl: sequence length 16 exceeds the model's max_seq_len 8"),
 ])
 def test_compare_rejects_malformed_input_before_any_run(dataset_dir, tmp_path, capsys,
                                                         args, message):
@@ -618,7 +708,8 @@ def test_readme_specs_generate_the_criteria_data(tmp_path, task):
     assert main(["generate", "--spec", str(tmp_path / "spec.json"),
                  "--out", str(tmp_path / "data")]) == EXIT_OK
     train_set, eval_sets = cat_lab.cli._load_data_dir(
-        tmp_path / "data", "span" if task == "span" else "classification", 3)
+        tmp_path / "data", "span" if task == "span" else "classification",
+        [cat_lab.cli.preset_model_config(task)])
     for got, expected in zip([train_set, *eval_sets.values()], CRITERION_DATA[task](),
                              strict=True):
         for name in ("tokens", "labels", "spans", "segments"):
@@ -881,6 +972,10 @@ def test_malformed_spec_is_config_error(tmp_path, capsys, spec, field):
     ("model.n_heads=0", "n_heads"),
     ('train.lr_warmup_steps="x"', "train.lr_warmup_steps"),
     ("train.lr_warmup_steps=-1", "lr_warmup_steps"),
+    ("train.base_lr=-0.001", "base_lr must be >= 0"),
+    ("train.warmup_steps=-3", "warmup_steps must be >= 0"),
+    ("train.warmup_epochs=-1", "warmup_epochs must be >= 0"),
+    ("train.eval_interval=-1", "eval_interval must be >= 0"),
     ("seeds=[{}]", "seeds"),
     ("bogus=1", "bogus"),
 ])

@@ -18,9 +18,8 @@ from cat_lab import autodiff as ad
 from cat_lab.adversarial import AdversarialConfig, adversarial_objective
 from cat_lab.autodiff import MASK_FILL, Tape, Tensor, backward
 from cat_lab.cli import preset_model_config, preset_train_config
-from cat_lab.encoder import EncoderModel
+from cat_lab.encoder import CLS_POSITION, EncoderModel
 from cat_lab.risk import crm_loss, erm_loss
-from cat_lab.trainer import forward_to_head
 
 # -- the chains ------------------------------------------------------------------
 
@@ -239,6 +238,12 @@ def test_ascent_objective_equals_its_chain(task, lam_at):
 CLS_HEAD = ("final_ln_gain", "final_ln_bias", "cls_w1", "cls_b1", "cls_w2", "cls_b2")
 SPAN_HEAD = ("final_ln_gain", "final_ln_bias", "span_start_w", "span_start_b",
              "span_end_w", "span_end_b")
+
+
+def forward_to_head(model, task, h, from_layer, mask):
+    """Layers from_layer+1 .. L as training runs them: position 0 alone before the class head."""
+    query = None if task == "span" else CLS_POSITION
+    return model.forward_layers(h, from_layer, model.config.n_layers, mask, query=query)
 
 
 def fused_heads(model, task, h, mask):

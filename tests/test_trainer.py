@@ -27,7 +27,6 @@ from cat_lab.trainer import (
     TrainConfig,
     _decode_spans,
     evaluate,
-    forward_to_head,
     resolve_schedule,
     seeded_trainer,
     span_f1,
@@ -67,6 +66,10 @@ def test_config_validation():
         TrainConfig(candidate_layers=())
     with pytest.raises(ValueError, match="span mix strategy"):
         TrainConfig(span_mix_strategy="bogus")
+    for name, value in (("base_lr", -1e-3), ("warmup_steps", -3), ("warmup_epochs", -1.0),
+                        ("lr_warmup_steps", -1), ("eval_interval", -1)):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+            TrainConfig(**{name: value})
 
 
 def test_schedule_resolution():
@@ -190,9 +193,9 @@ def test_divergence_guard_raises_with_last_good(class_data):
     trainer = make_trainer(small_config(max_steps=4))
     params = trainer.model.parameters()
     params["cls_w2"].data[...] = np.inf
-    with pytest.raises(DivergenceError) as info:
+    with pytest.raises(DivergenceError):
         trainer.train(train_set)
-    assert info.value.last_good is not None
+    assert trainer.last_good is not None
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -203,10 +206,9 @@ def test_collapsed_counterfactual_is_divergence(class_data, monkeypatch):
     interpolate = trainer_module.interpolate
     monkeypatch.setattr(trainer_module, "interpolate",
                         lambda *args: ad.smul(interpolate(*args), np.nan))
-    with pytest.raises(DivergenceError, match="crm loss became non-finite at step 1") as info:
+    with pytest.raises(DivergenceError, match="crm loss became non-finite at step 1"):
         trainer.train(train_set)
-    assert info.value.last_good is not None
-    assert info.value.history is trainer.history
+    assert trainer.last_good is not None
     assert [row["phase"] for row in trainer.history] == ["warmup"]
 
 
@@ -356,7 +358,8 @@ def test_cat_step_tape_is_fused(monkeypatch, preset, layer):
     trainer = seeded_trainer(preset_model_config("classification"), config, "classification")
     train_set, _, _ = generate_classification(SCMSpec(seed=1), 16, 4)
     trainer.cat_step(train_set, np.arange(8))
-    assert len(tapes) == 2 + trainer.adv_config.steps  # CRM, ERM and one per ascent step
+    # CRM, ERM and one per ascent step
+    assert len(tapes) == 2 + trainer.config.adversarial.steps
     assert sum(tapes) <= CAT_STEP_NODES[preset, layer]
 
 
@@ -378,7 +381,7 @@ def test_erm_step_at_the_head_position_matches_the_full_forward(padded):
         with Tape():
             h0, mask = model.embed(tokens)
             if pruned:
-                h = forward_to_head(model, "classification", h0, 0, mask)
+                h = model.forward_layers(h0, 0, model.config.n_layers, mask, query=0)
             else:
                 h = model.forward_layers(h0, 0, model.config.n_layers, mask)
             logits = model.classify(h, mask)
